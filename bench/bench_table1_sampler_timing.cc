@@ -16,7 +16,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
-#include "sampling/approx_samplers.h"
 #include "sampling/discrete_gaussian_sampler.h"
 #include "sampling/exact_samplers.h"
 #include "sampling/noise_sampler.h"
@@ -59,9 +58,10 @@ BENCHMARK(BM_ExactDiscreteGaussian)
 
 void BM_ApproxSkellam(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0)) / 2.0;
+  const auto sampler = SkellamSampler::Create(lambda).value();
   RandomGenerator rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SampleSkellamApprox(lambda, rng));
+    benchmark::DoNotOptimize(sampler.Sample(rng));
   }
   state.SetLabel("variance=" + std::to_string(state.range(0)));
 }
@@ -69,9 +69,10 @@ BENCHMARK(BM_ApproxSkellam)->Arg(32)->Arg(16)->Arg(8)->Arg(4)->Arg(2)->Arg(1);
 
 void BM_ApproxDiscreteGaussian(benchmark::State& state) {
   const double sigma = std::sqrt(static_cast<double>(state.range(0)));
+  const auto sampler = DiscreteGaussianSampler::Create(sigma).value();
   RandomGenerator rng(4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SampleDiscreteGaussianApprox(sigma, rng));
+    benchmark::DoNotOptimize(sampler.Sample(rng));
   }
   state.SetLabel("variance=" + std::to_string(state.range(0)));
 }
@@ -85,7 +86,7 @@ BENCHMARK(BM_ApproxDiscreteGaussian)
 
 // Block-sampler variants: same distributions drawn through the
 // SampleBlock(n, out) API the batched encode path uses, amortizing the
-// adapter/dispatch overhead per block of 1024 coordinates.
+// mode dispatch per block of 1024 coordinates.
 
 void BM_ApproxSkellamBlock(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0)) / 2.0;

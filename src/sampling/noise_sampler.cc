@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sampling/approx_samplers.h"
 #include "sampling/discrete_gaussian_sampler.h"
 #include "sampling/exact_samplers.h"
 
@@ -14,6 +13,10 @@ StatusOr<SkellamSampler> SkellamSampler::Create(double lambda,
   if (!(lambda > 0.0)) {
     return InvalidArgumentError("Skellam lambda must be > 0");
   }
+  if (!(lambda <= kMaxNoiseParameter)) {
+    return InvalidArgumentError(
+        "Skellam lambda must be finite and at most 2^50");
+  }
   const Rational r = Rational::FromDouble(lambda, max_denominator);
   if (mode == SamplerMode::kExact && r.num == 0) {
     return InvalidArgumentError(
@@ -22,18 +25,27 @@ StatusOr<SkellamSampler> SkellamSampler::Create(double lambda,
   return SkellamSampler(lambda, mode, r);
 }
 
-int64_t SkellamSampler::Sample(RandomGenerator& rng) {
-  if (mode_ == SamplerMode::kApproximate) {
-    return SampleSkellamApprox(lambda_, rng);
+SkellamSampler::SkellamSampler(double lambda, SamplerMode mode,
+                               Rational rational_lambda)
+    : lambda_(lambda), mode_(mode), rational_lambda_(rational_lambda) {
+  if (mode == SamplerMode::kApproximate) poisson_.emplace(lambda);
+}
+
+int64_t SkellamSampler::Sample(RandomGenerator& rng) const {
+  if (poisson_) {
+    // Named draws pin the order; operand order of `-` is unspecified.
+    const int64_t first = poisson_->Sample(rng);
+    const int64_t second = poisson_->Sample(rng);
+    return first - second;
   }
   // Exact path: parameters were validated at Create time.
   return SampleSkellamExact(rational_lambda_, rng).value();
 }
 
 void SkellamSampler::SampleBlock(size_t n, int64_t* out,
-                                 RandomGenerator& rng) {
-  if (mode_ == SamplerMode::kApproximate) {
-    for (size_t i = 0; i < n; ++i) out[i] = SampleSkellamApprox(lambda_, rng);
+                                 RandomGenerator& rng) const {
+  if (poisson_) {
+    for (size_t i = 0; i < n; ++i) out[i] = Sample(rng);
     return;
   }
   for (size_t i = 0; i < n; ++i) {
@@ -46,6 +58,10 @@ StatusOr<DiscreteGaussianSampler> DiscreteGaussianSampler::Create(
   if (!(sigma > 0.0)) {
     return InvalidArgumentError("Discrete Gaussian sigma must be > 0");
   }
+  if (!(sigma * sigma <= kMaxNoiseParameter)) {
+    return InvalidArgumentError(
+        "Discrete Gaussian sigma must be finite with sigma^2 at most 2^50");
+  }
   const Rational r = Rational::FromDouble(sigma * sigma, max_denominator);
   if (mode == SamplerMode::kExact && r.num == 0) {
     return InvalidArgumentError(
@@ -54,19 +70,22 @@ StatusOr<DiscreteGaussianSampler> DiscreteGaussianSampler::Create(
   return DiscreteGaussianSampler(sigma, mode, r);
 }
 
-int64_t DiscreteGaussianSampler::Sample(RandomGenerator& rng) {
-  if (mode_ == SamplerMode::kApproximate) {
-    return SampleDiscreteGaussianApprox(sigma_, rng);
-  }
+DiscreteGaussianSampler::DiscreteGaussianSampler(double sigma,
+                                                 SamplerMode mode,
+                                                 Rational rational_sigma2)
+    : sigma_(sigma), mode_(mode), rational_sigma2_(rational_sigma2) {
+  if (mode == SamplerMode::kApproximate) approx_.emplace(sigma);
+}
+
+int64_t DiscreteGaussianSampler::Sample(RandomGenerator& rng) const {
+  if (approx_) return approx_->Sample(rng);
   return SampleDiscreteGaussianExact(rational_sigma2_, rng).value();
 }
 
 void DiscreteGaussianSampler::SampleBlock(size_t n, int64_t* out,
-                                          RandomGenerator& rng) {
-  if (mode_ == SamplerMode::kApproximate) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = SampleDiscreteGaussianApprox(sigma_, rng);
-    }
+                                          RandomGenerator& rng) const {
+  if (approx_) {
+    for (size_t i = 0; i < n; ++i) out[i] = approx_->Sample(rng);
     return;
   }
   for (size_t i = 0; i < n; ++i) {

@@ -3,9 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "common/random.h"
 #include "common/status.h"
+#include "sampling/approx_samplers.h"
 #include "sampling/rational.h"
 
 namespace smm::sampling {
@@ -15,27 +17,33 @@ namespace smm::sampling {
 /// (what the paper's experiments use; Section 6).
 enum class SamplerMode { kApproximate, kExact };
 
+/// Largest Skellam lambda and discrete Gaussian sigma^2 the samplers accept.
+/// Calibrated noise parameters sit many orders of magnitude below it; the
+/// bound keeps every draw, and the integer casts inside the samplers,
+/// within int64 range.
+inline constexpr double kMaxNoiseParameter = 0x1p50;
+
 /// Samples symmetric Skellam noise Sk(lambda, lambda) in either mode.
 ///
 /// In exact mode, lambda is rationalized with denominator <= max_denominator
 /// (the sampled distribution is exactly Sk(p/q, p/q) for that rational).
 class SkellamSampler {
  public:
-  /// Creates a sampler. lambda must be > 0.
+  /// Creates a sampler. lambda must be finite, > 0 and at most
+  /// kMaxNoiseParameter.
   static StatusOr<SkellamSampler> Create(
       double lambda, SamplerMode mode = SamplerMode::kApproximate,
       int64_t max_denominator = 1000000);
 
-  /// Draws one variate. Non-const: the approximate path keeps distribution
-  /// state for speed.
-  int64_t Sample(RandomGenerator& rng);
+  /// Draws one variate. Const: the sampler is read-only after Create, so
+  /// encode shards share it, each drawing from its own generator.
+  int64_t Sample(RandomGenerator& rng) const;
 
-  /// Fills out[0..n) with n i.i.d. draws, amortizing the mode dispatch and
-  /// adapter setup over the whole block. Consumes the RNG exactly as n
-  /// scalar Sample calls would (in particular, exact mode draws the
-  /// identical RandInt sequence), so block and scalar encodes are
-  /// bit-compatible.
-  void SampleBlock(size_t n, int64_t* out, RandomGenerator& rng);
+  /// Fills out[0..n) with n i.i.d. draws, amortizing the mode dispatch over
+  /// the whole block. Consumes the RNG exactly as n scalar Sample calls
+  /// would (in particular, exact mode draws the identical RandInt
+  /// sequence), so block and scalar encodes are bit-compatible.
+  void SampleBlock(size_t n, int64_t* out, RandomGenerator& rng) const;
 
   double lambda() const { return lambda_; }
   SamplerMode mode() const { return mode_; }
@@ -43,31 +51,33 @@ class SkellamSampler {
   double variance() const { return 2.0 * lambda_; }
 
  private:
-  // No distribution-object state: the approximate path uses the
-  // self-contained SamplePoissonApprox (libstdc++'s poisson_distribution
-  // caches Gaussian state across draws and calls glibc lgamma(), whose
-  // global-signgam write races under concurrent EncodeBatch shards).
-  SkellamSampler(double lambda, SamplerMode mode, Rational rational_lambda)
-      : lambda_(lambda), mode_(mode), rational_lambda_(rational_lambda) {}
+  SkellamSampler(double lambda, SamplerMode mode, Rational rational_lambda);
 
   double lambda_;
   SamplerMode mode_;
   Rational rational_lambda_;
+  // Approximate mode only: the Poisson(lambda) sampler with its per-lambda
+  // constants and log-factorial window computed once at Create. It draws
+  // exactly what a per-draw evaluation of the same PTRS/Knuth expressions
+  // would, consuming the generator identically, so precomputing changes no
+  // encode output.
+  std::optional<PoissonApproxSampler> poisson_;
 };
 
 /// Samples discrete Gaussian noise N_Z(0, sigma^2) in either mode.
 class DiscreteGaussianSampler {
  public:
-  /// Creates a sampler. sigma must be > 0.
+  /// Creates a sampler. sigma must be finite and > 0, with sigma^2 at most
+  /// kMaxNoiseParameter.
   static StatusOr<DiscreteGaussianSampler> Create(
       double sigma, SamplerMode mode = SamplerMode::kApproximate,
       int64_t max_denominator = 1000000);
 
-  int64_t Sample(RandomGenerator& rng);
+  int64_t Sample(RandomGenerator& rng) const;
 
   /// Block variant of Sample; same RNG-consumption guarantee as
   /// SkellamSampler::SampleBlock.
-  void SampleBlock(size_t n, int64_t* out, RandomGenerator& rng);
+  void SampleBlock(size_t n, int64_t* out, RandomGenerator& rng) const;
 
   double sigma() const { return sigma_; }
   SamplerMode mode() const { return mode_; }
@@ -75,12 +85,13 @@ class DiscreteGaussianSampler {
 
  private:
   DiscreteGaussianSampler(double sigma, SamplerMode mode,
-                          Rational rational_sigma2)
-      : sigma_(sigma), mode_(mode), rational_sigma2_(rational_sigma2) {}
+                          Rational rational_sigma2);
 
   double sigma_;
   SamplerMode mode_;
   Rational rational_sigma2_;
+  // Approximate mode only; holds the per-sigma constants.
+  std::optional<DiscreteGaussianApproxSampler> approx_;
 };
 
 /// Samples centered binomial noise Binomial(trials, 1/2) - trials/2, the

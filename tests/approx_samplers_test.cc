@@ -1,6 +1,7 @@
 #include "sampling/approx_samplers.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,10 @@ TEST(ApproxPoissonTest, MomentsMatch) {
   RandomGenerator rng(1);
   constexpr int kN = 100000;
   const double lambda = 4.2;
+  const PoissonApproxSampler sampler(lambda);
   double sum = 0.0, sum_sq = 0.0;
   for (int i = 0; i < kN; ++i) {
-    const int64_t v = SamplePoissonApprox(lambda, rng);
+    const int64_t v = sampler.Sample(rng);
     ASSERT_GE(v, 0);
     sum += static_cast<double>(v);
     sum_sq += static_cast<double>(v) * v;
@@ -30,9 +32,10 @@ TEST(ApproxPoissonTest, LargeLambda) {
   RandomGenerator rng(2);
   constexpr int kN = 20000;
   const double lambda = 1e6;
+  const PoissonApproxSampler sampler(lambda);
   double sum = 0.0;
   for (int i = 0; i < kN; ++i) {
-    sum += static_cast<double>(SamplePoissonApprox(lambda, rng));
+    sum += static_cast<double>(sampler.Sample(rng));
   }
   EXPECT_NEAR(sum / kN / lambda, 1.0, 0.001);
 }
@@ -41,9 +44,10 @@ TEST(ApproxSkellamTest, ZeroMeanVarianceTwoLambda) {
   RandomGenerator rng(3);
   constexpr int kN = 100000;
   const double lambda = 3.0;
+  const SkellamSampler sampler = SkellamSampler::Create(lambda).value();
   double sum = 0.0, sum_sq = 0.0;
   for (int i = 0; i < kN; ++i) {
-    const int64_t v = SampleSkellamApprox(lambda, rng);
+    const int64_t v = sampler.Sample(rng);
     sum += static_cast<double>(v);
     sum_sq += static_cast<double>(v) * v;
   }
@@ -56,10 +60,11 @@ class ApproxDiscreteGaussianTest : public ::testing::TestWithParam<double> {};
 TEST_P(ApproxDiscreteGaussianTest, MomentsMatch) {
   const double sigma = GetParam();
   RandomGenerator rng(static_cast<uint64_t>(sigma * 100) + 5);
+  const DiscreteGaussianApproxSampler sampler(sigma);
   constexpr int kN = 60000;
   double sum = 0.0, sum_sq = 0.0;
   for (int i = 0; i < kN; ++i) {
-    const int64_t v = SampleDiscreteGaussianApprox(sigma, rng);
+    const int64_t v = sampler.Sample(rng);
     sum += static_cast<double>(v);
     sum_sq += static_cast<double>(v) * v;
   }
@@ -83,6 +88,51 @@ TEST(NoiseSamplerTest, SkellamCreateValidates) {
 TEST(NoiseSamplerTest, DiscreteGaussianCreateValidates) {
   EXPECT_FALSE(DiscreteGaussianSampler::Create(0.0).ok());
   EXPECT_TRUE(DiscreteGaussianSampler::Create(1.5).ok());
+}
+
+// Non-finite or huge parameters used to pass Create, after which the
+// approximate draw cast floor(inf) to int64_t (undefined behaviour).
+TEST(NoiseSamplerTest, SkellamCreateRejectsNonFiniteAndHugeLambda) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const SamplerMode mode : {SamplerMode::kApproximate,
+                                 SamplerMode::kExact}) {
+    for (const double lambda : {inf, nan, 1e300, 2.0 * kMaxNoiseParameter,
+                                std::nextafter(kMaxNoiseParameter, inf)}) {
+      const auto sampler = SkellamSampler::Create(lambda, mode);
+      ASSERT_FALSE(sampler.ok()) << "lambda=" << lambda;
+      EXPECT_EQ(sampler.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_TRUE(SkellamSampler::Create(kMaxNoiseParameter).ok());
+}
+
+TEST(NoiseSamplerTest, DiscreteGaussianCreateRejectsNonFiniteAndHugeSigma) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double max_sigma = std::sqrt(kMaxNoiseParameter);
+  for (const SamplerMode mode : {SamplerMode::kApproximate,
+                                 SamplerMode::kExact}) {
+    for (const double sigma : {inf, nan, 1e300, 2.0 * max_sigma,
+                               std::nextafter(max_sigma, inf)}) {
+      const auto sampler = DiscreteGaussianSampler::Create(sigma, mode);
+      ASSERT_FALSE(sampler.ok()) << "sigma=" << sigma;
+      EXPECT_EQ(sampler.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_TRUE(DiscreteGaussianSampler::Create(max_sigma).ok());
+}
+
+// The largest accepted parameters draw without overflow.
+TEST(NoiseSamplerTest, LargestAcceptedParametersDraw) {
+  RandomGenerator rng(23);
+  const auto skellam = SkellamSampler::Create(kMaxNoiseParameter).value();
+  const auto dgauss =
+      DiscreteGaussianSampler::Create(std::sqrt(kMaxNoiseParameter)).value();
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_LT(std::abs(skellam.Sample(rng)), int64_t{1} << 40);
+    EXPECT_LT(std::abs(dgauss.Sample(rng)), int64_t{1} << 40);
+  }
 }
 
 class SamplerModeTest : public ::testing::TestWithParam<SamplerMode> {};

@@ -2,12 +2,14 @@
 // scalar samplers', and — the contract the batched encode path relies on —
 // a block of n draws must consume the underlying RandomGenerator exactly
 // like n scalar draws (in exact mode, the identical RandInt sequence).
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "sampling/approx_samplers.h"
 #include "sampling/noise_sampler.h"
 
 namespace smm::sampling {
@@ -62,6 +64,35 @@ TEST(SampleBlockTest, SkellamBlockMomentsMatchScalar) {
   EXPECT_NEAR(block.variance / var, 1.0, 0.05);
   EXPECT_NEAR(block.variance / scalar.variance, 1.0, 0.1);
 }
+
+// Every benchmark workload calibrates lambda >= 10, where the approximate
+// Poisson draw takes the PTRS path rather than Knuth's; pin its moments
+// there. A Skellam mean is zero whatever the Poisson draws' bias, so the
+// Poisson sampler's own mean is checked too.
+class SkellamPtrsMomentsTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(SkellamPtrsMomentsTest, BlockMomentsMatchAnalytic) {
+  constexpr size_t kN = 200000;
+  const double lambda = GetParam();
+  auto sampler = SkellamSampler::Create(lambda).value();
+  const Moments block = ComputeMoments(
+      BlockDraws(sampler, kN, 40 + static_cast<uint64_t>(lambda)));
+  const double var = sampler.variance();
+  // 5 standard errors of each estimate.
+  EXPECT_NEAR(block.mean, 0.0, 5.0 * std::sqrt(var / kN));
+  EXPECT_NEAR(block.variance / var, 1.0, 5.0 * std::sqrt(2.0 / kN) + 0.005);
+
+  const PoissonApproxSampler poisson(lambda);
+  RandomGenerator rng(50 + static_cast<uint64_t>(lambda));
+  std::vector<int64_t> draws(kN);
+  for (auto& v : draws) v = poisson.Sample(rng);
+  const Moments p = ComputeMoments(draws);
+  EXPECT_NEAR(p.mean, lambda, 5.0 * std::sqrt(lambda / kN));
+  EXPECT_NEAR(p.variance / lambda, 1.0, 5.0 * std::sqrt(2.0 / kN) + 0.005);
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkloadLambdas, SkellamPtrsMomentsTest,
+                         ::testing::Values(10.0, 22.4, 121.6, 380.0));
 
 TEST(SampleBlockTest, DiscreteGaussianBlockMomentsMatchScalar) {
   constexpr size_t kN = 200000;
@@ -121,6 +152,8 @@ TEST(SampleBlockTest, ExactDiscreteGaussianBlockConsumesRandIntIdentically) {
 TEST(SampleBlockTest, ApproximateBlocksAreBitCompatibleWithScalar) {
   auto skellam = SkellamSampler::Create(3.0).value();
   ExpectBlockConsumesLikeScalar(skellam, 103, 2048);
+  auto skellam_ptrs = SkellamSampler::Create(121.6).value();
+  ExpectBlockConsumesLikeScalar(skellam_ptrs, 107, 2048);
   auto dgauss = DiscreteGaussianSampler::Create(1.5).value();
   ExpectBlockConsumesLikeScalar(dgauss, 104, 2048);
 }
