@@ -86,12 +86,9 @@ int main() {
 
   // The participants' per-shard protocol instances, derived exactly as the
   // server derived its workers' (session_seed + shard index).
-  std::vector<std::unique_ptr<smm::secagg::SecureAggregator>> shard_protocols;
-  for (size_t s = 0; s < kShards; ++s) {
-    auto derived = (*aggregator)->CreateShardAggregator(s, kShards);
-    if (!derived.ok()) return 1;
-    shard_protocols.push_back(std::move(*derived));
-  }
+  auto shard_protocols = smm::secagg::CreateShardAggregators(
+      **aggregator, kShards, /*pool=*/nullptr);
+  if (!shard_protocols.ok()) return 1;
 
   smm::RandomGenerator rng(9);
   std::vector<std::vector<uint64_t>> inputs(kParticipants);
@@ -119,7 +116,8 @@ int main() {
       smm::secagg::ContributionMsg msg;
       msg.participant_id = p;
       msg.modulus = kModulus;
-      auto masked = shard_protocols[s]->PrepareContribution(p, *slice, kModulus);
+      auto masked =
+          (*shard_protocols)[s]->PrepareContribution(p, *slice, kModulus);
       if (!masked.ok()) return 1;
       msg.payload = std::move(*masked);
       msg.shard = round->plan.Spec(s);

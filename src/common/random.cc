@@ -53,8 +53,7 @@ int64_t RandomGenerator::RandInt(int64_t n) {
 }
 
 SMM_NO_SANITIZE_UNSIGNED_WRAP
-uint64_t RandomGenerator::UniformUint64(uint64_t bound) {
-  assert(bound >= 1);
+uint64_t RandomGenerator::UniformUint64Rejection(uint64_t bound) {
   // Rejection sampling: draw 64 bits, reject the biased tail. The unsigned
   // negation deliberately wraps: -bound == 2^64 - bound (mod 2^64).
   const uint64_t threshold = -bound % bound;  // == (2^64 - bound) % bound

@@ -1,6 +1,7 @@
 #ifndef SMM_COMMON_RANDOM_H_
 #define SMM_COMMON_RANDOM_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -78,7 +79,17 @@ class RandomGenerator {
   int64_t RandInt(int64_t n);
 
   /// Uniform integer in {0, ..., bound - 1}. Requires bound >= 1.
-  uint64_t UniformUint64(uint64_t bound);
+  ///
+  /// Inline for the mask expansion of the masked aggregator, which draws
+  /// one value per coordinate per pair. A power-of-two bound takes the low
+  /// bits of one draw: the rejection threshold 2^64 mod bound is 0 there and
+  /// r mod bound == r & (bound - 1), so value and stream position are
+  /// exactly those of the rejection path, without its two divisions.
+  uint64_t UniformUint64(uint64_t bound) {
+    assert(bound >= 1);
+    if ((bound & (bound - 1)) == 0) return gen_.Next() & (bound - 1);
+    return UniformUint64Rejection(bound);
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision (top 53 bits of
   /// one draw -> [0, 1)). Inline for the same reason as Xoshiro256::Next —
@@ -109,6 +120,10 @@ class RandomGenerator {
 
  private:
   explicit RandomGenerator(Xoshiro256 gen) : gen_(gen) {}
+
+  /// UniformUint64 for a bound that is not a power of two: rejection
+  /// sampling over the 64-bit space.
+  uint64_t UniformUint64Rejection(uint64_t bound);
 
   Xoshiro256 gen_;
   bool have_cached_gaussian_ = false;

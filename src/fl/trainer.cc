@@ -307,14 +307,14 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
       SMM_ASSIGN_OR_RETURN(auto built_plan, secagg::ShardPlan::Create(
                                                 padded_dim_, shard_count_));
       plan = built_plan;
-      shard_aggregators.reserve(shard_count_);
+      SMM_ASSIGN_OR_RETURN(shard_aggregators,
+                           secagg::CreateShardAggregators(
+                               *aggregator_, shard_count_, pool_.get()));
       shard_streams.reserve(shard_count_);
       for (size_t s = 0; s < shard_count_; ++s) {
-        SMM_ASSIGN_OR_RETURN(auto derived, aggregator_->CreateShardAggregator(
-                                               s, shard_count_));
         secagg::SecureAggregator* shard_aggregator =
-            derived != nullptr ? derived.get() : aggregator_.get();
-        shard_aggregators.push_back(std::move(derived));
+            shard_aggregators[s] != nullptr ? shard_aggregators[s].get()
+                                            : aggregator_.get();
         SMM_ASSIGN_OR_RETURN(auto shard_stream,
                              shard_aggregator->Open(plan->Width(s),
                                                     mechanism_->modulus(),

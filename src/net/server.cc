@@ -857,22 +857,18 @@ AggregationServer::OpenShardedRound(secagg::SecureAggregator& aggregator,
   ShardedRoundInfo round{plan, {}, {}, {}, {}, options, &aggregator};
   const size_t shards = plan.shard_count();
   round.shards.reserve(shards);
-  round.shard_aggregators.reserve(shards);
   round.collected.resize(shards);
   round.shard_retries.assign(shards, 0);
+  SMM_ASSIGN_OR_RETURN(round.shard_aggregators,
+                       secagg::CreateShardAggregators(aggregator, shards,
+                                                      /*pool=*/nullptr));
   for (size_t s = 0; s < shards; ++s) {
-    std::unique_ptr<secagg::SecureAggregator> derived;
-    if (shards > 1) {
-      SMM_ASSIGN_OR_RETURN(derived,
-                           aggregator.CreateShardAggregator(s, shards));
-    }
     secagg::SecureAggregator& shard_aggregator =
-        derived ? *derived : aggregator;
+        round.shard_aggregators[s] ? *round.shard_aggregators[s] : aggregator;
     SMM_ASSIGN_OR_RETURN(
         SessionInfo info,
         OpenSession(shard_aggregator, ShardWorkerOptions(plan, options, s)));
     round.shards.push_back(info);
-    round.shard_aggregators.push_back(std::move(derived));
   }
   return round;
 }

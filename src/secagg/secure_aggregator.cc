@@ -86,6 +86,34 @@ SecureAggregator::CreateShardAggregator(size_t shard_index,
   return std::unique_ptr<SecureAggregator>(nullptr);
 }
 
+StatusOr<std::vector<std::unique_ptr<SecureAggregator>>>
+CreateShardAggregators(const SecureAggregator& base, size_t shard_count,
+                       ThreadPool* pool) {
+  if (shard_count < 1) return InvalidArgumentError("shard count must be >= 1");
+  std::vector<std::unique_ptr<SecureAggregator>> aggregators(shard_count);
+  if (shard_count == 1) return aggregators;
+  std::vector<Status> statuses(shard_count);
+  const auto derive = [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      auto derived = base.CreateShardAggregator(s, shard_count);
+      if (derived.ok()) {
+        aggregators[s] = std::move(*derived);
+      } else {
+        statuses[s] = derived.status();
+      }
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(shard_count, [&](int, size_t begin, size_t end) {
+      derive(begin, end);
+    });
+  } else {
+    derive(0, shard_count);
+  }
+  for (const Status& status : statuses) SMM_RETURN_IF_ERROR(status);
+  return aggregators;
+}
+
 StatusOr<std::vector<uint64_t>> IdealAggregator::Aggregate(
     const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) {
   return AggregateParallel(inputs, m, nullptr);
@@ -299,21 +327,34 @@ Status MaskedAggregator::RecoverDroppedMasks(const std::vector<int>& survivors,
       recovery_pairs.emplace_back(i, j);
     }
   }
+  if (recovery_pairs.empty()) return OkStatus();
+  // Every pair seed was split at the same points (participant k holds the
+  // share at x = k + 1), so the first `threshold` survivors' points give
+  // one Lagrange basis for every pair, and each reconstruction is a
+  // threshold-term dot product with that pair's share values.
+  const size_t threshold = static_cast<size_t>(options_.threshold);
+  const auto share_of = [&](std::pair<int, int> pair, size_t k) {
+    const auto [i, j] = pair;
+    return shares_[std::min(i, j)][std::max(i, j)]
+                  [static_cast<size_t>(survivors[k])];
+  };
+  std::vector<uint64_t> points(threshold);
+  for (size_t k = 0; k < threshold; ++k) {
+    points[k] = share_of(recovery_pairs[0], k).x;
+  }
+  SMM_ASSIGN_OR_RETURN(const std::vector<uint64_t> basis,
+                       ShamirBasisAtZero(points, options_.threshold));
   const auto recover_range = [&](size_t begin, size_t end,
                                  std::vector<uint64_t>& acc) -> Status {
-    std::vector<ShamirShare> collected;
-    collected.reserve(survivors.size());
+    std::vector<uint64_t> ys(threshold);
     for (size_t p = begin; p < end; ++p) {
-      const auto [i, j] = recovery_pairs[p];
-      const auto& pair_shares = shares_[std::min(i, j)][std::max(i, j)];
-      collected.clear();
-      for (int s : survivors) {
-        collected.push_back(pair_shares[static_cast<size_t>(s)]);
+      for (size_t k = 0; k < threshold; ++k) {
+        ys[k] = share_of(recovery_pairs[p], k).y;
       }
-      SMM_ASSIGN_OR_RETURN(const uint64_t seed,
-                           ShamirReconstruct(collected, options_.threshold));
+      const uint64_t seed = ShamirCombineAtZero(basis, ys);
       // Survivor i added +mask for j > i expecting j to cancel it
       // (subtract); for j < i it added -mask (add back).
+      const auto [i, j] = recovery_pairs[p];
       AccumulateMask(seed, m, j > i ? -1 : 1, acc);
     }
     return OkStatus();

@@ -86,6 +86,21 @@ class SecureAggregator {
       size_t shard_index, size_t shard_count) const;
 };
 
+/// Derives the per-shard instances of a `shard_count`-way round: entry s is
+/// base.CreateShardAggregator(s, shard_count), where nullptr means the base
+/// serves shard s itself. At shard_count == 1 it returns one nullptr without
+/// deriving anything, so the unsharded round runs on the base. The
+/// derivations are independent (each reads only the base and its shard
+/// index), so they run across `pool` (nullptr = in order on the caller) and
+/// the instances do not depend on the thread count. A failing derivation's
+/// status is returned, the lowest failing shard first. Callers derive
+/// fresh instances for every round rather than caching them: one instance
+/// per round models that round's key agreement, and reusing one across
+/// rounds would reuse its masks.
+StatusOr<std::vector<std::unique_ptr<SecureAggregator>>>
+CreateShardAggregators(const SecureAggregator& base, size_t shard_count,
+                       ThreadPool* pool);
+
 /// The ideal functionality: a plain modular sum. Used by the experiment
 /// harnesses for speed (the paper likewise runs SecAgg "as a black box").
 class IdealAggregator final : public SecureAggregator {
@@ -211,8 +226,9 @@ class MaskedAggregator final : public SecureAggregator {
 
   /// The deferred half of unmasking: removes from `sum` the leftover mask
   /// terms of every (survivor, dropped) pair by Shamir-reconstructing the
-  /// pair seed from the survivors' shares. Pairs shard across the pool;
-  /// requires |survivors| >= threshold (checked by the callers).
+  /// pair seed from the first `threshold` survivors' shares, with one
+  /// Lagrange basis for all pairs. Pairs shard across the pool; requires
+  /// |survivors| >= threshold (checked by the callers).
   Status RecoverDroppedMasks(const std::vector<int>& survivors, uint64_t m,
                              ThreadPool* pool,
                              std::vector<uint64_t>& sum) const;

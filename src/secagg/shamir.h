@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/span.h"
 #include "common/status.h"
 
 namespace smm::secagg {
@@ -32,10 +33,29 @@ StatusOr<std::vector<ShamirShare>> ShamirSplit(uint64_t secret, int threshold,
                                                RandomGenerator& rng);
 
 /// Reconstructs the secret from >= threshold shares by Lagrange
-/// interpolation at x = 0. The caller must supply shares from the same
-/// split; duplicated evaluation points are rejected.
+/// interpolation at x = 0 over the first `threshold` shares: the basis of
+/// their points (ShamirBasisAtZero, which validates them) combined with
+/// their values (ShamirCombineAtZero). The caller must supply shares from
+/// the same split.
 StatusOr<uint64_t> ShamirReconstruct(const std::vector<ShamirShare>& shares,
                                      int threshold);
+
+/// The Lagrange basis at x = 0 of the first `threshold` evaluation points:
+/// l_i = prod_{j != i} x_j / (x_j - x_i) (mod p), so that any polynomial of
+/// degree < threshold with values y_i at those points has constant term
+/// sum_i l_i * y_i. It depends on the points only, so one basis serves every
+/// secret shared at the same points. kInvalidArgument if threshold < 1, or
+/// any of those points is outside [1, p) or repeated (x and x + p are the
+/// same field point, so both checks are needed for the denominators to be
+/// nonzero); kFailedPrecondition if fewer than `threshold` points are given.
+StatusOr<std::vector<uint64_t>> ShamirBasisAtZero(
+    const std::vector<uint64_t>& points, int threshold);
+
+/// sum_i basis[i] * ys[i] (mod p) over the basis entries: the secret whose
+/// shares have values `ys` at the basis's points. Any uint64 y is reduced
+/// into the field. Requires ys.size() >= basis.size().
+uint64_t ShamirCombineAtZero(const std::vector<uint64_t>& basis,
+                             ConstSpan<uint64_t> ys);
 
 }  // namespace smm::secagg
 

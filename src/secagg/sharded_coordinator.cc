@@ -111,7 +111,11 @@ StatusOr<std::unique_ptr<ShardedCoordinator>> ShardedCoordinator::Open(
   std::unique_ptr<ShardedCoordinator> coordinator(new ShardedCoordinator(
       plan, options.modulus, options.pool, aggregator));
   const size_t shards = plan.shard_count();
-  coordinator->shard_aggregators_.resize(shards);
+  // The K instance derivations (for the masked protocol, a full seed
+  // agreement and Shamir sharing each) are independent and run across the
+  // pool.
+  SMM_ASSIGN_OR_RETURN(coordinator->shard_aggregators_,
+                       CreateShardAggregators(aggregator, shards, options.pool));
   coordinator->sessions_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
     AggregationSession::Options session_options;
@@ -122,12 +126,7 @@ StatusOr<std::unique_ptr<ShardedCoordinator>> ShardedCoordinator::Open(
     // At one shard the session stays plain and unsharded, so the K = 1
     // round is exactly the pre-shard pipeline (version-1 frames,
     // byte-identical wire bytes and sum).
-    if (shards > 1) {
-      SMM_ASSIGN_OR_RETURN(
-          coordinator->shard_aggregators_[s],
-          aggregator.CreateShardAggregator(s, shards));
-      session_options.expected_shard = plan.Spec(s);
-    }
+    if (shards > 1) session_options.expected_shard = plan.Spec(s);
     SecureAggregator& shard_aggregator =
         coordinator->shard_aggregators_[s] ? *coordinator->shard_aggregators_[s]
                                            : aggregator;

@@ -57,6 +57,50 @@ TEST(ShamirTest, DuplicatePointsRejected) {
   ASSERT_TRUE(shares.ok());
   const std::vector<ShamirShare> dup = {(*shares)[0], (*shares)[0]};
   EXPECT_FALSE(ShamirReconstruct(dup, 2).ok());
+  // x and x + p are the same field point: interpolating over both would
+  // divide by zero.
+  std::vector<ShamirShare> congruent = dup;
+  congruent[1].x += kShamirPrime;
+  auto secret = ShamirReconstruct(congruent, 2);
+  ASSERT_FALSE(secret.ok());
+  EXPECT_EQ(secret.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ShamirTest, NonPositiveThresholdRejected) {
+  RandomGenerator rng(8);
+  auto shares = ShamirSplit(42, 2, 3, rng);
+  ASSERT_TRUE(shares.ok());
+  for (const int threshold : {0, -3}) {
+    auto secret = ShamirReconstruct(*shares, threshold);
+    ASSERT_FALSE(secret.ok()) << "threshold " << threshold;
+    EXPECT_EQ(secret.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ShamirTest, PointAtPrimeRejected) {
+  // x = p is the field point 0, where the secret itself sits.
+  RandomGenerator rng(9);
+  auto shares = ShamirSplit(42, 2, 3, rng);
+  ASSERT_TRUE(shares.ok());
+  std::vector<ShamirShare> bad = {(*shares)[0], (*shares)[1]};
+  bad[1].x = kShamirPrime;
+  auto secret = ShamirReconstruct(bad, 2);
+  ASSERT_FALSE(secret.ok());
+  EXPECT_EQ(secret.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ShamirTest, BasisInterpolatesConstantsAndLowDegreePolynomials) {
+  // Interpolating the constant 1 gives sum_i l_i = 1; interpolating
+  // f(x) = x (degree 1 < threshold) gives f(0) = 0.
+  const std::vector<uint64_t> points = {3, 1, 7, kShamirPrime - 1, 12};
+  for (int threshold = 2; threshold <= 5; ++threshold) {
+    auto basis = ShamirBasisAtZero(points, threshold);
+    ASSERT_TRUE(basis.ok());
+    ASSERT_EQ(basis->size(), static_cast<size_t>(threshold));
+    const std::vector<uint64_t> ones(points.size(), 1);
+    EXPECT_EQ(ShamirCombineAtZero(*basis, ones), 1u);
+    EXPECT_EQ(ShamirCombineAtZero(*basis, points), 0u);
+  }
 }
 
 TEST(ShamirTest, BelowThresholdSharesLookUnrelatedToSecret) {
