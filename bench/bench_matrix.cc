@@ -10,9 +10,9 @@
 // bench/check_bench_regression.py diffs and bench/validate_bench_artifact.py
 // validates. Exit status is 1 if any point's bit-identity verdict failed.
 //
-// --calibrate measures this host's tile sizing, session thread count, and
-// per-kernel dispatch crossovers, and writes them as tuning.json (default
-// ./tuning.json, override with --tuning-out). Load the file at startup by
+// --calibrate measures this host's tile sizing and session thread count,
+// and writes them as tuning.json (default ./tuning.json, override with
+// --tuning-out). Load the file at startup by
 // pointing SMM_TUNING at it, or pass it to LoadRuntimeTuningFromFile.
 #include <cstdio>
 #include <cstring>

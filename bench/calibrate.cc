@@ -1,25 +1,19 @@
-// --calibrate: measures this host's best per-thread tile size, session
-// thread count, and per-kernel scalar/SIMD dispatch crossover, and returns
-// them as a RuntimeTuning ready to serialize as tuning.json. Every knob it
-// tunes is a pure performance parameter — the pinned bit-identity invariant
-// means any calibration outcome produces the same results, so a noisy sweep
-// can only cost speed, never correctness.
+// --calibrate: measures this host's best per-thread tile size and session
+// thread count, and returns them as a RuntimeTuning ready to serialize as
+// tuning.json. Every knob it tunes is a pure performance parameter — the
+// pinned bit-identity invariant means any calibration outcome produces the
+// same results, so a noisy sweep can only cost speed, never correctness.
 #include <algorithm>
-#include <array>
 #include <cstdio>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "common/tuning.h"
 #include "mechanisms/baseline_mechanisms.h"
 #include "mechanisms/distributed_mechanism.h"
 #include "runner.h"
 #include "secagg/secure_aggregator.h"
-#include "simd_cases.h"
 
 namespace smm::bench {
 namespace {
@@ -139,70 +133,6 @@ StatusOr<int> SweepSessionThreads(Scale scale, int repeats, bool verbose) {
   return best_threads;
 }
 
-/// Sweeps vector lengths per kernel and finds the smallest length where the
-/// dispatched table is at least as fast as the scalar reference. Times the
-/// tables directly (not through ForLength), so the crossovers installed in
-/// the process never skew their own measurement.
-std::vector<std::pair<std::string, size_t>> SweepDispatchCrossovers(
-    int repeats, bool verbose) {
-  const size_t lengths[] = {64, 128, 256, 512, 1024, 2048, 4096};
-  constexpr size_t kLengthCount = sizeof(lengths) / sizeof(lengths[0]);
-  constexpr size_t kWorkPerLength = size_t{1} << 20;
-
-  // crossover_found[case][length]: dispatched >= scalar at that length.
-  std::vector<std::array<bool, kLengthCount>> wins;
-  std::vector<std::pair<std::string, size_t>> result;
-
-  std::vector<const SimdCase*> case_order;
-  std::vector<simd::KernelId> ids;
-  std::vector<size_t> crossover;
-
-  for (size_t li = 0; li < kLengthCount; ++li) {
-    const size_t n = lengths[li];
-    const int iters = static_cast<int>(kWorkPerLength / n);
-    SimdCaseSet case_set(n);
-    if (li == 0) {
-      wins.assign(case_set.cases().size(), {});
-      for (const SimdCase& c : case_set.cases()) ids.push_back(c.id);
-    }
-    for (size_t ci = 0; ci < case_set.cases().size(); ++ci) {
-      const SimdCase& c = case_set.cases()[ci];
-      // One untimed reset up front; the iteration loop then reuses the
-      // buffers (in-place kernels stay in domain mod m; the drifting
-      // float kernels only drift, which x86 executes at full speed).
-      if (c.reset) c.reset();
-      const double scalar = BestOfN(repeats, [&] {
-        for (int i = 0; i < iters; ++i) c.run(simd::ScalarKernels());
-      });
-      if (c.reset) c.reset();
-      const double dispatched = BestOfN(repeats, [&] {
-        for (int i = 0; i < iters; ++i) c.run(simd::Active());
-      });
-      wins[ci][li] = dispatched <= scalar;
-      if (verbose) {
-        std::printf(
-            "  calibrate crossover kernel=%s n=%zu scalar=%.3e "
-            "dispatch=%.3e\n",
-            simd::KernelIdName(c.id), n, scalar, dispatched);
-      }
-    }
-  }
-
-  for (size_t ci = 0; ci < ids.size(); ++ci) {
-    // Smallest tested length from which the dispatched table wins and
-    // keeps winning; 0 (always dispatch) when it wins from the start,
-    // 2x the largest tested length when it never sustainably wins.
-    size_t threshold = lengths[kLengthCount - 1] * 2;
-    for (size_t li = kLengthCount; li-- > 0;) {
-      if (!wins[ci][li]) break;
-      threshold = lengths[li];
-    }
-    if (threshold == lengths[0]) threshold = 0;
-    result.emplace_back(simd::KernelIdName(ids[ci]), threshold);
-  }
-  return result;
-}
-
 }  // namespace
 
 StatusOr<RuntimeTuning> RunCalibration(Scale scale, bool verbose) {
@@ -220,7 +150,6 @@ StatusOr<RuntimeTuning> RunCalibration(Scale scale, bool verbose) {
   RuntimeTuning tuning;
   tuning.tile_rows_per_thread = *tile;
   tuning.threads_per_session = session_threads;
-  tuning.simd_crossover = SweepDispatchCrossovers(repeats, verbose);
   tuning.source = "calibrated";
   return tuning;
 }

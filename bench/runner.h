@@ -7,10 +7,8 @@
 // enumerated point at a time; the runner enumerates the cross product,
 // collects every point's wall time / throughput / bit-identity verdict into
 // a MatrixReport, and serializes the report as one schema-versioned JSON
-// artifact. The bench_matrix binary drives the matrix directly (--filter,
-// --repeats, --json, --calibrate); bench_scaling_threads is a compatibility
-// wrapper that replays the same scenarios and re-emits the historical
-// artifact shape and SPEEDUP_SUMMARY / SIMD_KERNEL log lines.
+// artifact. The bench_matrix binary drives the matrix (--filter,
+// --repeats, --json, --calibrate).
 //
 // Determinism contract: scenarios seed every generator from fixed constants
 // and treat the threads axis as the innermost loop, so the 1-thread run of
@@ -89,7 +87,7 @@ struct RunOptions {
   /// Best-of-N repeats; 0 = each scenario's per-scale default.
   int repeats = 0;
   /// Adds the non-default axis values (extra modulus classes, nonzero
-  /// corrupt-frame rates) that the legacy artifact shape has no rows for.
+  /// corrupt-frame rates) to the default matrix.
   bool wide = false;
   bool verbose = true;
 };
@@ -184,10 +182,9 @@ StatusOr<MatrixReport> RunMatrix(const std::string& filter,
 /// (validated by bench/bench_matrix_schema.json).
 Status WriteMatrixJson(const MatrixReport& report, const std::string& path);
 
-/// Measures this host's tile sizing, session thread count, and per-kernel
-/// scalar/SIMD dispatch crossovers (defined in calibrate.cc). Restores the
-/// process-wide tuning it perturbed while sweeping; the caller decides
-/// whether to install or serialize the result.
+/// Measures this host's tile sizing and session thread count (defined in
+/// calibrate.cc). Restores the process-wide tuning it perturbed while
+/// sweeping; the caller decides whether to install or serialize the result.
 StatusOr<RuntimeTuning> RunCalibration(Scale scale, bool verbose);
 
 }  // namespace smm::bench

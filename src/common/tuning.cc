@@ -15,10 +15,10 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // A strict recursive-descent parser for the tiny JSON subset tuning.json
-// uses: one object of string keys mapping to non-negative integers or to one
-// nested object of string -> integer. No arrays, floats, booleans, nulls, or
-// escapes — a calibration artifact never needs them, and rejecting the rest
-// keeps a hand-edited file from silently half-loading.
+// uses: one object of string keys mapping to integers. No nested objects,
+// arrays, floats, booleans, nulls, or escapes — a calibration artifact never
+// needs them, and rejecting the rest keeps a hand-edited file from silently
+// half-loading.
 // ---------------------------------------------------------------------------
 
 class MiniJsonParser {
@@ -119,17 +119,6 @@ void ApplyTuningLocked(const RuntimeTuning& tuning) {
                               std::memory_order_relaxed);
   g_shard_count.store(tuning.shard_count < 1 ? 1 : tuning.shard_count,
                       std::memory_order_relaxed);
-  // Zero every kernel's crossover, then set the calibrated ones, so a
-  // reload never leaves a stale entry from the previous tuning behind.
-  for (int i = 0; i < simd::kNumKernelIds; ++i) {
-    simd::SetDispatchCrossover(static_cast<simd::KernelId>(i), 0);
-  }
-  for (const auto& [name, length] : tuning.simd_crossover) {
-    simd::KernelId id;
-    if (simd::KernelIdFromName(name.c_str(), &id)) {
-      simd::SetDispatchCrossover(id, length);
-    }
-  }
 }
 
 Status LoadFromFileLocked(const std::string& path) {
@@ -173,14 +162,8 @@ std::string RuntimeTuningToJson(const RuntimeTuning& tuning) {
   out << "  \"tile_rows_per_thread\": " << tuning.tile_rows_per_thread
       << ",\n";
   out << "  \"threads_per_session\": " << tuning.threads_per_session << ",\n";
-  out << "  \"shard_count\": " << tuning.shard_count << ",\n";
-  out << "  \"simd_crossover\": {";
-  for (size_t i = 0; i < tuning.simd_crossover.size(); ++i) {
-    out << (i == 0 ? "" : ",") << "\n    \""
-        << tuning.simd_crossover[i].first
-        << "\": " << tuning.simd_crossover[i].second;
-  }
-  out << (tuning.simd_crossover.empty() ? "" : "\n  ") << "}\n}\n";
+  out << "  \"shard_count\": " << tuning.shard_count << "\n";
+  out << "}\n";
   return out.str();
 }
 
@@ -230,38 +213,6 @@ StatusOr<RuntimeTuning> ParseRuntimeTuning(const std::string& json) {
             "tuning.json: shard_count out of domain [1, 4096]");
       }
       tuning.shard_count = static_cast<size_t>(v);
-    } else if (key == "simd_crossover") {
-      if (!parser.Consume('{')) {
-        return InvalidArgumentError(
-            "tuning.json: simd_crossover must be an object");
-      }
-      bool first_kernel = true;
-      while (!parser.Consume('}')) {
-        if (!first_kernel && !parser.Consume(',')) {
-          return InvalidArgumentError(
-              "tuning.json: expected ',' or '}' in simd_crossover");
-        }
-        first_kernel = false;
-        SMM_ASSIGN_OR_RETURN(const std::string kernel, parser.ParseString());
-        simd::KernelId id;
-        if (!simd::KernelIdFromName(kernel.c_str(), &id)) {
-          return InvalidArgumentError(
-              "tuning.json: unknown simd_crossover kernel \"" + kernel +
-              "\"");
-        }
-        if (!parser.Consume(':')) {
-          return InvalidArgumentError(
-              "tuning.json: expected ':' after kernel \"" + kernel + "\"");
-        }
-        SMM_ASSIGN_OR_RETURN(const int64_t v, parser.ParseInt());
-        if (v < 0 || v > (int64_t{1} << 30)) {
-          return InvalidArgumentError(
-              "tuning.json: crossover for \"" + kernel +
-              "\" out of domain [0, 2^30]");
-        }
-        tuning.simd_crossover.emplace_back(kernel,
-                                           static_cast<size_t>(v));
-      }
     } else {
       return InvalidArgumentError("tuning.json: unknown field \"" + key +
                                   "\"");

@@ -3,11 +3,8 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/parallel.h"
-#include "common/simd.h"
 #include "common/status.h"
 
 namespace smm {
@@ -20,12 +17,12 @@ namespace smm {
 /// built-in defaults can never change results — only wall time.
 ///
 /// The defaults reproduce the historical hardcoded behavior exactly
-/// (32-rows-per-thread tiles, hardware-concurrency sessions, always-SIMD
-/// dispatch), so a process that never loads a tuning file runs precisely
-/// the pre-tuning pipeline.
+/// (32-rows-per-thread tiles, hardware-concurrency sessions, unsharded
+/// rounds), so a process that never loads a tuning file runs precisely the
+/// pre-tuning pipeline.
 struct RuntimeTuning {
   /// Serialization schema version of tuning.json; parsers reject others.
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
 
   /// Participant rows each pool thread keeps resident per pipelined tile in
   /// the encode -> frame -> absorb paths (trainer rounds, RunDistributedSum,
@@ -45,13 +42,6 @@ struct RuntimeTuning {
   /// bit-identical to the unsharded one at any value.
   size_t shard_count = 1;
 
-  /// Per-kernel minimum vector length at which the dispatched SIMD table
-  /// beats the scalar reference (kernel name -> length). Below the
-  /// crossover the scalar table runs; at or above it, dispatch. Kernels
-  /// absent here keep crossover 0 (always dispatch, the historical
-  /// behavior). Kernel names are simd::KernelIdName spellings.
-  std::vector<std::pair<std::string, size_t>> simd_crossover;
-
   /// Where this tuning came from, for logs and the bench artifact:
   /// "default", or the path it was loaded from.
   std::string source = "default";
@@ -62,8 +52,8 @@ std::string RuntimeTuningToJson(const RuntimeTuning& tuning);
 
 /// Parses a tuning.json document. Strict: rejects (kInvalidArgument)
 /// malformed JSON, a missing or unsupported schema_version, unknown fields,
-/// out-of-domain values (tile_rows_per_thread < 1, negative
-/// threads_per_session), and unknown crossover kernel names.
+/// and out-of-domain values (tile_rows_per_thread < 1, negative
+/// threads_per_session).
 StatusOr<RuntimeTuning> ParseRuntimeTuning(const std::string& json);
 
 /// The process-wide tuning. Defaults to RuntimeTuning{}; the first call
@@ -72,17 +62,16 @@ StatusOr<RuntimeTuning> ParseRuntimeTuning(const std::string& json);
 /// startup must not die on a stale tuning file). Thread-safe.
 RuntimeTuning GetRuntimeTuning();
 
-/// Installs `tuning` as the process-wide tuning and applies its SIMD
-/// crossover table to the dispatch layer. Thread-safe, but intended for
-/// startup / test setup: in-flight encodes pick up the new tile size at
+/// Installs `tuning` as the process-wide tuning. Thread-safe, but intended
+/// for startup / test setup: in-flight encodes pick up the new tile size at
 /// their next tile boundary.
 void SetRuntimeTuning(const RuntimeTuning& tuning);
 
 /// Reads, parses, and installs a tuning.json file.
 Status LoadRuntimeTuningFromFile(const std::string& path);
 
-/// Restores the built-in defaults (and zeroes the SIMD crossover table),
-/// including un-latching the SMM_TUNING env load. For tests.
+/// Restores the built-in defaults, including un-latching the SMM_TUNING env
+/// load. For tests.
 void ResetRuntimeTuningForTest();
 
 /// Participants per pipelined tile for `num_threads` workers under the

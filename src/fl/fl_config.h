@@ -58,7 +58,7 @@ struct FlConfig {
 
   /// Dimension-range shard workers per aggregation round. 1 = today's
   /// single-session path; K > 1 splits each round across K narrower
-  /// per-shard streams stitched back by the coordinator merge; 0 = the
+  /// shard workers whose sums the coordinator merges; 0 = the
   /// tuned default (TunedShardCount). A pure performance dial: the sharded
   /// round is bit-identical to the unsharded one at every K.
   int shard_count = 1;

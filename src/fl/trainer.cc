@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "accounting/binomial_accountant.h"
 #include "accounting/calibration.h"
@@ -14,7 +13,6 @@
 #include "mechanisms/conditional_rounding.h"
 #include "mechanisms/dgm_mechanism.h"
 #include "mechanisms/smm_mechanism.h"
-#include "secagg/shard_plan.h"
 #include "secagg/sharded_coordinator.h"
 
 namespace smm::fl {
@@ -284,51 +282,32 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
   // streamed modular sum is exact.
   const size_t tile_size = TunedTileRows(threads);
 
-  // Integer mechanism path: one streaming aggregation session per round.
-  // Tiles are encoded and absorbed as they are produced, so the round never
-  // holds more than one tile of gradients/encodings plus the aggregator's
-  // O(threads·d) running-sum state — the batch-materializing O(count·d)
-  // buffer is gone. At shard_count_ > 1 the single stream becomes one
-  // narrower stream per ShardPlan range (each under the aggregator instance
-  // CreateShardAggregator derives for that shard), and Finalize stitches the
-  // per-shard partial sums back together — bit-identical to the unsharded
-  // stream because every coordinate's modular sum is computed exactly once
-  // either way.
-  std::unique_ptr<secagg::StreamingAggregator> stream;
-  std::optional<secagg::ShardPlan> plan;
-  std::vector<std::unique_ptr<secagg::SecureAggregator>> shard_aggregators;
-  std::vector<std::unique_ptr<secagg::StreamingAggregator>> shard_streams;
+  // Integer mechanism path: one ShardedCoordinator round per round, the
+  // same coordinator RunDistributedSum uses. Tiles are encoded and handed to it
+  // as they are produced, so the round never holds more than one tile of
+  // gradients/encodings plus the workers' O(threads·d) running-sum state.
+  // Each worker buffers one tile (tile_rows = tile_size) and absorbs it
+  // with one sharded fork/join. At shard_count_ > 1 each worker sums one
+  // ShardPlan range under the aggregator instance CreateShardAggregator
+  // derives for its shard, and Finalize concatenates the ranges —
+  // bit-identical to the unsharded round because every coordinate's
+  // modular sum is computed exactly once either way.
+  std::unique_ptr<secagg::ShardedCoordinator> round;
   if (mechanism_ != nullptr) {
-    if (shard_count_ <= 1) {
-      SMM_ASSIGN_OR_RETURN(stream, aggregator_->Open(
-                                       padded_dim_, mechanism_->modulus(),
-                                       pool_.get()));
-    } else {
-      SMM_ASSIGN_OR_RETURN(auto built_plan, secagg::ShardPlan::Create(
-                                                padded_dim_, shard_count_));
-      plan = built_plan;
-      SMM_ASSIGN_OR_RETURN(shard_aggregators,
-                           secagg::CreateShardAggregators(
-                               *aggregator_, shard_count_, pool_.get()));
-      shard_streams.reserve(shard_count_);
-      for (size_t s = 0; s < shard_count_; ++s) {
-        secagg::SecureAggregator* shard_aggregator =
-            shard_aggregators[s] != nullptr ? shard_aggregators[s].get()
-                                            : aggregator_.get();
-        SMM_ASSIGN_OR_RETURN(auto shard_stream,
-                             shard_aggregator->Open(plan->Width(s),
-                                                    mechanism_->modulus(),
-                                                    pool_.get()));
-        shard_streams.push_back(std::move(shard_stream));
-      }
-    }
+    secagg::ShardedCoordinator::Options round_options;
+    round_options.dim = padded_dim_;
+    round_options.modulus = mechanism_->modulus();
+    round_options.shard_count = shard_count_;
+    round_options.pool = pool_.get();
+    round_options.tile_rows = tile_size;
+    SMM_ASSIGN_OR_RETURN(round, secagg::ShardedCoordinator::Open(
+                                    *aggregator_, round_options));
   }
 
   std::vector<double> sum(model_dim, 0.0);
   double loss_sum = 0.0;
   std::vector<std::vector<double>> gradients;
   std::vector<double> losses;
-  std::vector<int> tile_ids;
   for (size_t tile_begin = 0; tile_begin < count; tile_begin += tile_size) {
     const size_t tile_end = std::min(count, tile_begin + tile_size);
     const size_t tile_count = tile_end - tile_begin;
@@ -359,7 +338,8 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
     for (double loss : losses) loss_sum += loss;
 
     if (mechanism_ != nullptr) {
-      // Pad, batch-encode under per-participant jump-ahead streams, absorb.
+      // Pad, batch-encode under per-participant jump-ahead streams, hand
+      // each encoding to the round.
       // Forking the streams tile by tile consumes rng_ exactly as one
       // up-front MakeParticipantStreams(rng_, count) would, so the encodings
       // are bit-identical to the batch-materializing pipeline.
@@ -369,24 +349,12 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
       SMM_ASSIGN_OR_RETURN(auto encoded,
                            mechanisms::EncodeBatchParallel(
                                *mechanism_, gradients, streams, pool_.get()));
-      tile_ids.resize(tile_count);
       for (size_t t = 0; t < tile_count; ++t) {
-        tile_ids[t] = static_cast<int>(tile_begin + t);
-      }
-      if (shard_count_ <= 1) {
-        SMM_RETURN_IF_ERROR(stream->AbsorbTile(tile_ids, encoded));
-      } else {
-        // Slice the tile per shard and absorb each slice into its worker
-        // stream. Only one shard's slices are resident at a time, so the
-        // transient cost stays one extra tile of one shard's width.
-        std::vector<std::vector<uint64_t>> shard_rows(tile_count);
-        for (size_t s = 0; s < shard_count_; ++s) {
-          for (size_t t = 0; t < tile_count; ++t) {
-            SMM_ASSIGN_OR_RETURN(shard_rows[t], plan->Slice(encoded[t], s));
-          }
-          SMM_RETURN_IF_ERROR(
-              shard_streams[s]->AbsorbTile(tile_ids, shard_rows));
-        }
+        SMM_RETURN_IF_ERROR(round->AddContribution(
+            static_cast<int>(tile_begin + t), encoded[t]));
+        // The round holds its own prepared copy; release this one so the
+        // resident encodings stay one tile.
+        std::vector<uint64_t>().swap(encoded[t]);
       }
     } else {
       // Central baselines: exact sum, accumulated in participant order.
@@ -400,32 +368,9 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
   }
 
   if (mechanism_ != nullptr) {
-    std::vector<uint64_t> zm_sum;
-    if (shard_count_ <= 1) {
-      SMM_ASSIGN_OR_RETURN(zm_sum, stream->Finalize());
-    } else {
-      // Finalize every shard stream and stitch the ranges back through the
-      // coordinator merge (each range appears exactly once, so this is pure
-      // concatenation plus the merge's tiling checks).
-      std::vector<secagg::PartialSumMsg> partials;
-      partials.reserve(shard_count_);
-      for (size_t s = 0; s < shard_count_; ++s) {
-        SMM_ASSIGN_OR_RETURN(auto shard_sum, shard_streams[s]->Finalize());
-        secagg::PartialSumMsg partial;
-        partial.modulus = mechanism_->modulus();
-        partial.num_contributors = static_cast<uint32_t>(count);
-        partial.shard = plan->Spec(s);
-        partial.sum = std::move(shard_sum);
-        partials.push_back(std::move(partial));
-      }
-      SMM_ASSIGN_OR_RETURN(auto merged,
-                           secagg::MergePartialSums(std::move(partials),
-                                                    padded_dim_,
-                                                    mechanism_->modulus()));
-      zm_sum = std::move(merged.sum);
-    }
+    SMM_ASSIGN_OR_RETURN(secagg::SumMsg zm_sum, round->Finalize());
     SMM_ASSIGN_OR_RETURN(auto decoded,
-                         mechanism_->DecodeSum(zm_sum,
+                         mechanism_->DecodeSum(zm_sum.sum,
                                                static_cast<int>(count)));
     std::copy(decoded.begin(), decoded.begin() + static_cast<long>(model_dim),
               sum.begin());

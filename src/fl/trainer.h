@@ -103,13 +103,14 @@ class FederatedTrainer {
 
   /// One round: returns the decoded gradient average (model dimension).
   /// The round is pipelined per tile of O(threads) participants — compute
-  /// gradients, encode, absorb into a streaming aggregation session — so
-  /// peak memory is O(threads·d) regardless of how many participants the
+  /// gradients, encode, hand each encoding to the round's
+  /// secagg::ShardedCoordinator (AddContribution, no framing) — so peak
+  /// memory is O(threads·d) regardless of how many participants the
   /// Poisson sample drew, and the result is bit-identical to materializing
-  /// every encoded vector and batch-aggregating. At shard_count_ > 1 the
-  /// session is replaced by K per-shard streams over the ShardPlan's
-  /// contiguous dimension ranges, stitched back by the coordinator merge —
-  /// still bit-identical (exact modular arithmetic per coordinate).
+  /// every encoded vector and batch-aggregating. The coordinator runs
+  /// shard_count_ workers over the ShardPlan's contiguous dimension ranges
+  /// — still bit-identical at every K (exact modular arithmetic per
+  /// coordinate).
   StatusOr<std::vector<double>> AggregateRound(
       const std::vector<size_t>& participant_indices, double* mean_loss);
 
@@ -121,7 +122,7 @@ class FederatedTrainer {
   size_t padded_dim_ = 0;
   double sampling_rate_ = 0.0;
   /// Resolved shard workers per round (config.shard_count, or the tuned
-  /// default when the config asked for 0). 1 = the unsharded stream.
+  /// default when the config asked for 0). 1 = the unsharded session.
   size_t shard_count_ = 1;
 
   std::unique_ptr<mechanisms::DistributedSumMechanism> mechanism_;

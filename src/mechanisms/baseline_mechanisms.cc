@@ -23,6 +23,35 @@ StatusOr<RotationCodec> MakeCodec(size_t dim, double gamma, uint64_t modulus,
   return RotationCodec::Create(codec_options);
 }
 
+/// Fused-pipeline description of an L2-clipped mechanism's
+/// PerturbRotatedInto: clip at `l2_threshold` (gamma * l2_bound), plain
+/// stochastic rounding, then `sampler`'s noise block.
+template <typename Sampler>
+FusedPerturbSpec L2FusedSpec(double l2_threshold, const Sampler* sampler) {
+  FusedPerturbSpec spec;
+  spec.clip = FusedPerturbSpec::Clip::kL2;
+  spec.l2_threshold = l2_threshold;
+  spec.sample_block = [sampler](size_t n, int64_t* out, RandomGenerator& rng) {
+    sampler->SampleBlock(n, out, rng);
+  };
+  return spec;
+}
+
+/// L2FusedSpec with the plain rounding replaced by conditional rounding
+/// against `norm_bound` (DDG, Agarwal Skellam), optionally counting
+/// rejected attempts.
+template <typename Sampler>
+FusedPerturbSpec ConditionalFusedSpec(double l2_threshold, double norm_bound,
+                                      int max_retries, bool track_rejections,
+                                      const Sampler* sampler) {
+  FusedPerturbSpec spec = L2FusedSpec(l2_threshold, sampler);
+  spec.conditional_round = true;
+  spec.norm_bound = norm_bound;
+  spec.max_retries = max_retries;
+  spec.track_rejections = track_rejections;
+  return spec;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -51,24 +80,14 @@ StatusOr<std::unique_ptr<DdgMechanism>> DdgMechanism::Create(
 DdgMechanism::DdgMechanism(Options options, RotationCodec codec,
                            sampling::DiscreteGaussianSampler sampler,
                            double norm_bound)
-    : RotatedModularMechanism(std::move(codec)),
+    : RotatedModularMechanism(
+          std::move(codec),
+          ConditionalFusedSpec(options.gamma * options.l2_bound, norm_bound,
+                               options.max_rounding_retries,
+                               /*track_rejections=*/true, &sampler_)),
       options_(options),
       sampler_(std::move(sampler)),
-      norm_bound_(norm_bound) {
-  // Fused-pipeline description of PerturbRotatedInto. `this` is
-  // heap-allocated by Create and never moves.
-  FusedPerturbSpec spec;
-  spec.clip = FusedPerturbSpec::Clip::kL2;
-  spec.l2_threshold = options_.gamma * options_.l2_bound;
-  spec.conditional_round = true;
-  spec.norm_bound = norm_bound_;
-  spec.max_retries = options_.max_rounding_retries;
-  spec.track_rejections = true;
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    sampler_.SampleBlock(n, out, rng);
-  };
-  set_fused_perturb_spec(std::move(spec));
-}
+      norm_bound_(norm_bound) {}
 
 Status DdgMechanism::PerturbRotatedInto(RandomGenerator& rng,
                                         EncodeWorkspace& workspace,
@@ -110,24 +129,15 @@ AgarwalSkellamMechanism::Create(const Options& options) {
 AgarwalSkellamMechanism::AgarwalSkellamMechanism(
     Options options, RotationCodec codec, sampling::SkellamSampler sampler,
     double norm_bound)
-    : RotatedModularMechanism(std::move(codec)),
+    : RotatedModularMechanism(
+          std::move(codec),
+          // No rejection tracking, matching PerturbRotatedInto's nullptr.
+          ConditionalFusedSpec(options.gamma * options.l2_bound, norm_bound,
+                               options.max_rounding_retries,
+                               /*track_rejections=*/false, &sampler_)),
       options_(options),
       sampler_(std::move(sampler)),
-      norm_bound_(norm_bound) {
-  // Same fused spec as DdgMechanism with Skellam noise and no rejection
-  // tracking (matching the unfused path's nullptr rejections).
-  FusedPerturbSpec spec;
-  spec.clip = FusedPerturbSpec::Clip::kL2;
-  spec.l2_threshold = options_.gamma * options_.l2_bound;
-  spec.conditional_round = true;
-  spec.norm_bound = norm_bound_;
-  spec.max_retries = options_.max_rounding_retries;
-  spec.track_rejections = false;
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    sampler_.SampleBlock(n, out, rng);
-  };
-  set_fused_perturb_spec(std::move(spec));
-}
+      norm_bound_(norm_bound) {}
 
 Status AgarwalSkellamMechanism::PerturbRotatedInto(RandomGenerator& rng,
                                                    EncodeWorkspace& workspace,
@@ -165,20 +175,11 @@ StatusOr<std::unique_ptr<CpSgdMechanism>> CpSgdMechanism::Create(
 
 CpSgdMechanism::CpSgdMechanism(Options options, RotationCodec codec,
                                sampling::CenteredBinomialSampler binomial)
-    : RotatedModularMechanism(std::move(codec)),
+    : RotatedModularMechanism(
+          std::move(codec),
+          L2FusedSpec(options.gamma * options.l2_bound, &binomial_)),
       options_(options),
-      binomial_(binomial) {
-  // Fused-pipeline description of PerturbRotatedInto: L2 clip + plain
-  // stochastic rounding + centered binomial noise.
-  FusedPerturbSpec spec;
-  spec.clip = FusedPerturbSpec::Clip::kL2;
-  spec.l2_threshold = options_.gamma * options_.l2_bound;
-  spec.conditional_round = false;
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    binomial_.SampleBlock(n, out, rng);
-  };
-  set_fused_perturb_spec(std::move(spec));
-}
+      binomial_(binomial) {}
 
 Status CpSgdMechanism::PerturbRotatedInto(RandomGenerator& rng,
                                           EncodeWorkspace& workspace,

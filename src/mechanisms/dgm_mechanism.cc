@@ -66,22 +66,30 @@ StatusOr<std::unique_ptr<DgmMechanism>> DgmMechanism::Create(
       new DgmMechanism(options, std::move(codec), std::move(noiser)));
 }
 
-DgmMechanism::DgmMechanism(Options options, RotationCodec codec,
-                           DiscreteGaussianMixtureNoiser noiser)
-    : RotatedModularMechanism(std::move(codec)),
-      options_(options),
-      noiser_(std::move(noiser)) {
-  // Same fused spec as SmmMechanism with the noise callback swapped for the
-  // discrete Gaussian. `this` is heap-allocated by Create and never moves.
+namespace {
+
+/// The SmmMechanism fused spec with the noise block swapped for the
+/// discrete Gaussian mixture of `noiser`.
+FusedPerturbSpec DgmFusedSpec(const DgmMechanism::Options& options,
+                              DiscreteGaussianMixtureNoiser* noiser) {
   FusedPerturbSpec spec;
   spec.clip = FusedPerturbSpec::Clip::kSmm;
-  spec.smm_c = options_.c;
-  spec.smm_delta_inf = std::max(1.0, std::floor(options_.delta_inf));
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    noiser_.SampleNoiseBlock(n, out, rng);
+  spec.smm_c = options.c;
+  spec.smm_delta_inf = std::max(1.0, std::floor(options.delta_inf));
+  spec.sample_block = [noiser](size_t n, int64_t* out, RandomGenerator& rng) {
+    noiser->SampleNoiseBlock(n, out, rng);
   };
-  set_fused_perturb_spec(std::move(spec));
+  return spec;
 }
+
+}  // namespace
+
+DgmMechanism::DgmMechanism(Options options, RotationCodec codec,
+                           DiscreteGaussianMixtureNoiser noiser)
+    : RotatedModularMechanism(std::move(codec),
+                              DgmFusedSpec(options, &noiser_)),
+      options_(options),
+      noiser_(std::move(noiser)) {}
 
 Status DgmMechanism::PerturbRotatedInto(RandomGenerator& rng,
                                         EncodeWorkspace& workspace,

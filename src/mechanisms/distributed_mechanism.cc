@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/simd.h"
 #include "common/tuning.h"
@@ -32,17 +30,6 @@ size_t RotationTile() { return TunedTileRowsPerThread(); }
 /// order-preserving chained reduction, and the RNG-consuming stages visit
 /// coordinates in order regardless of blocking.
 constexpr size_t kFusedBlockElems = 2048;
-
-/// SMM_FORCE_UNFUSED=1 pins the historical per-pass encode pipeline — the
-/// escape hatch for debugging and for benchmarking fused vs unfused from
-/// the same binary. Read once, like the SIMD dispatch overrides.
-bool ForceUnfusedEncode() {
-  static const bool force = [] {
-    const char* env = std::getenv("SMM_FORCE_UNFUSED");
-    return env != nullptr && std::strcmp(env, "1") == 0;
-  }();
-  return force;
-}
 
 }  // namespace
 
@@ -74,9 +61,6 @@ Status RotatedModularMechanism::EncodeBatch(
     const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
     RandomGenerator* rng_streams, EncodeWorkspace& workspace,
     std::vector<std::vector<uint64_t>>* out) {
-  if (!fused_spec_.has_value() || ForceUnfusedEncode()) {
-    return EncodeBatchUnfused(inputs, begin, end, rng_streams, workspace, out);
-  }
   const size_t d = codec_.dim();
   EncodeCounters counters;
   const size_t rotation_tile = RotationTile();
@@ -97,38 +81,12 @@ Status RotatedModularMechanism::EncodeBatch(
   return OkStatus();
 }
 
-Status RotatedModularMechanism::EncodeBatchUnfused(
-    const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
-    RandomGenerator* rng_streams, EncodeWorkspace& workspace,
-    std::vector<std::vector<uint64_t>>* out) {
-  const size_t d = codec_.dim();
-  EncodeCounters counters;
-  const size_t rotation_tile = RotationTile();
-  for (size_t tile = begin; tile < end; tile += rotation_tile) {
-    const size_t tile_end = std::min(end, tile + rotation_tile);
-    // One batched rotate + scale pass over the whole tile. The per-row
-    // result is bit-identical to RotateScaleInto, and rotation draws no
-    // randomness, so tiling never changes the encoding.
-    SMM_RETURN_IF_ERROR(codec_.RotateScaleBatchInto(inputs, tile, tile_end,
-                                                    workspace.batch));
-    for (size_t i = tile; i < tile_end; ++i) {
-      const double* row = workspace.batch.data() + (i - tile) * d;
-      workspace.real.assign(row, row + d);
-      SMM_RETURN_IF_ERROR(PerturbRotatedInto(rng_streams[i], workspace,
-                                             counters));
-      codec_.WrapInto(workspace.ints, &counters.overflow, (*out)[i]);
-    }
-  }
-  PublishCounters(counters);
-  return OkStatus();
-}
-
 Status RotatedModularMechanism::FusedEncodeRow(double* row,
                                                RandomGenerator& rng,
                                                EncodeWorkspace& workspace,
                                                EncodeCounters& counters,
                                                std::vector<uint64_t>& out) {
-  const FusedPerturbSpec& spec = *fused_spec_;
+  const FusedPerturbSpec& spec = fused_spec_;
   const size_t d = codec_.dim();
   const double norm_scale = codec_.wht_norm_scale();
   const double gamma = codec_.gamma();
@@ -137,7 +95,7 @@ Status RotatedModularMechanism::FusedEncodeRow(double* row,
   // Sweep 1 — finish the rotation and reduce the clip statistic, one
   // L1-resident block at a time: Hadamard normalization (skipped when the
   // codec left nothing unapplied) and the gamma scale are the same two IEEE
-  // multiplies per element the unfused path performs full-vector, and the
+  // multiplies per element EncodeParticipant performs full-vector, and the
   // chained reduce accumulates contributions in coordinate order, so the
   // statistic matches the full-vector reduction bit-for-bit.
   double reduced = 0.0;
@@ -155,7 +113,7 @@ Status RotatedModularMechanism::FusedEncodeRow(double* row,
   // recomputes each coordinate's contribution from the unchanged row, or
   // multiplies by one precomputed scale), so blocking cannot change it; the
   // rounding draws are consumed strictly in coordinate order across blocks,
-  // exactly like the whole-row rounding of the unfused path. Conditional
+  // exactly like EncodeParticipant's whole-row rounding. Conditional
   // rounding accepts/rejects on the whole rounded row, so that variant
   // clips blockwise and then rounds in one unblocked call between sweeps.
   workspace.ints.resize(d);
@@ -184,7 +142,7 @@ Status RotatedModularMechanism::FusedEncodeRow(double* row,
       // The clip multiply folds into the rounding kernel's scale argument:
       // for clipped rows the kernel's g = x * scale is the identical IEEE
       // product the separate apply pass would have stored, and unclipped
-      // rows multiply by exactly 1.0 just like the unfused
+      // rows multiply by exactly 1.0 just like EncodeParticipant's
       // StochasticRoundInto. Folding means the row is only *read* here, so
       // its cache lines evict clean instead of costing a write-back.
       for (size_t b = 0; b < d; b += kFusedBlockElems) {

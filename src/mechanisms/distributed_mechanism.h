@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -41,9 +40,8 @@ struct EncodeCounters {
 /// mechanisms share the same stage skeleton (a clip with one whole-row
 /// reduction, a rounding step, one noise block per coordinate), so the spec
 /// is pure data plus one noise callback; the blocked sweeps themselves live
-/// once, in the base class. Mechanisms install their spec at construction
-/// via set_fused_perturb_spec; a mechanism without a spec falls back to the
-/// unfused per-pass path.
+/// once, in the base class. Every mechanism hands its spec to the
+/// RotatedModularMechanism constructor.
 struct FusedPerturbSpec {
   /// Which clip family the mechanism applies to the rotated row.
   enum class Clip { kSmm, kL2 };
@@ -64,8 +62,8 @@ struct FusedPerturbSpec {
   /// Fills out[0..n) with the mechanism's noise. Must consume `rng` exactly
   /// as n scalar sampler draws in order (the SampleBlock contract), so that
   /// calling it block by block across a row draws the identical stream as
-  /// one whole-row SampleBlock — the property that keeps the fused and
-  /// unfused pipelines bit-identical.
+  /// one whole-row SampleBlock — the property that keeps the fused
+  /// pipeline bit-identical to EncodeParticipant.
   std::function<void(size_t n, int64_t* out, RandomGenerator& rng)>
       sample_block;
 };
@@ -127,8 +125,8 @@ class DistributedSumMechanism {
 /// overflow-accounting bodies into one place; concrete mechanisms implement
 /// only PerturbRotatedInto (the middle of the pipeline).
 ///
-/// EncodeBatch runs the *fused* blocked pipeline when the mechanism
-/// installed a FusedPerturbSpec (all five integer mechanisms do): rows are
+/// EncodeBatch runs the *fused* blocked pipeline the mechanism's
+/// FusedPerturbSpec describes: rows are
 /// rotated through RotationCodec::RotateRawBatchInto in cache-bounded
 /// tiles, then each row is finished in three blocked sweeps of <= 16 KiB
 /// L1-resident blocks — (1) Hadamard normalization + gamma + clip
@@ -137,10 +135,10 @@ class DistributedSumMechanism {
 /// the seven-odd full-vector passes of the per-stage path. RNG draws are
 /// consumed in exactly the historical per-coordinate order (all rounding
 /// draws, then all noise draws, each in coordinate order), so the fused
-/// output is byte-identical to EncodeBatchUnfused and EncodeParticipant at
-/// every thread count and dispatch mode; encode_fused_test and the PR-1
-/// determinism suite pin this. The scalar EncodeParticipant path performs
-/// the identical arithmetic one row at a time through PerturbRotatedInto.
+/// output is byte-identical to EncodeParticipant at every thread count and
+/// dispatch mode; encode_fused_test and the encode determinism suite pin
+/// this. EncodeParticipant — the test reference — performs the identical
+/// arithmetic one row at a time through PerturbRotatedInto.
 class RotatedModularMechanism : public DistributedSumMechanism {
  public:
   StatusOr<std::vector<uint64_t>> EncodeParticipant(
@@ -150,19 +148,6 @@ class RotatedModularMechanism : public DistributedSumMechanism {
                      size_t begin, size_t end, RandomGenerator* rng_streams,
                      EncodeWorkspace& workspace,
                      std::vector<std::vector<uint64_t>>* out) override;
-
-  /// The historical per-pass batch encoder (rotate+scale tile, then one
-  /// whole-row PerturbRotatedInto + WrapInto per participant). EncodeBatch
-  /// delegates here when no FusedPerturbSpec is installed or when the
-  /// environment variable SMM_FORCE_UNFUSED=1 is set; it stays public so
-  /// tests and the bench harness can compare the fused pipeline against the
-  /// reference in one process. Consumes rng_streams identically to
-  /// EncodeBatch.
-  Status EncodeBatchUnfused(const std::vector<std::vector<double>>& inputs,
-                            size_t begin, size_t end,
-                            RandomGenerator* rng_streams,
-                            EncodeWorkspace& workspace,
-                            std::vector<std::vector<uint64_t>>* out);
 
   /// Centered unwrap, inverse rotation, rescale (Algorithm 6). Mechanisms
   /// whose estimate depends on the participant count override this.
@@ -179,8 +164,11 @@ class RotatedModularMechanism : public DistributedSumMechanism {
   }
 
  protected:
-  explicit RotatedModularMechanism(RotationCodec codec)
-      : codec_(std::move(codec)) {}
+  /// `fused_spec` describes PerturbRotatedInto for EncodeBatch; its
+  /// sample_block may capture pointers into the concrete mechanism, which
+  /// Create heap-allocates and never moves.
+  RotatedModularMechanism(RotationCodec codec, FusedPerturbSpec fused_spec)
+      : codec_(std::move(codec)), fused_spec_(std::move(fused_spec)) {}
 
   /// The mechanism-specific middle of the encode pipeline. On entry
   /// workspace.real holds the rotated + scaled coordinates; implementations
@@ -201,13 +189,6 @@ class RotatedModularMechanism : public DistributedSumMechanism {
 
   const RotationCodec& codec() const { return codec_; }
 
-  /// Installs the fused-pipeline description. Call once, from the concrete
-  /// mechanism's constructor (the spec's sample_block may capture pointers
-  /// into the mechanism, which never moves after construction).
-  void set_fused_perturb_spec(FusedPerturbSpec spec) {
-    fused_spec_ = std::move(spec);
-  }
-
  private:
   /// One row of the fused pipeline: `row` (length dim()) holds the raw
   /// rotate output (unnormalized, un-gamma'd); runs the three blocked
@@ -218,7 +199,7 @@ class RotatedModularMechanism : public DistributedSumMechanism {
                         std::vector<uint64_t>& out);
 
   RotationCodec codec_;
-  std::optional<FusedPerturbSpec> fused_spec_;
+  FusedPerturbSpec fused_spec_;
   /// Atomic so concurrent EncodeBatch shards never lose wrap-around events.
   std::atomic<int64_t> overflow_count_{0};
 };

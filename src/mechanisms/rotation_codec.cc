@@ -69,30 +69,6 @@ Status RotationCodec::RotateScaleInto(const std::vector<double>& x,
   return OkStatus();
 }
 
-Status RotationCodec::RotateScaleBatchInto(
-    const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
-    std::vector<double>& flat, ThreadPool* pool) const {
-  const size_t d = options_.dim;
-  if (rotation_.has_value()) {
-    SMM_RETURN_IF_ERROR(
-        rotation_->ApplyBatchInto(inputs, begin, end, flat, pool));
-  } else {
-    if (begin > end || end > inputs.size()) {
-      return InvalidArgumentError("batch range out of bounds");
-    }
-    flat.resize((end - begin) * d);
-    for (size_t i = begin; i < end; ++i) {
-      if (inputs[i].size() != d) {
-        return InvalidArgumentError("input dimension mismatch");
-      }
-      std::copy(inputs[i].begin(), inputs[i].end(),
-                flat.begin() + static_cast<ptrdiff_t>((i - begin) * d));
-    }
-  }
-  ApplyGamma(flat, options_.gamma, GammaDir::kForward);
-  return OkStatus();
-}
-
 Status RotationCodec::RotateRawBatchInto(
     const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
     std::vector<double>& flat, ThreadPool* pool) const {

@@ -37,23 +37,16 @@ class RotationCodec {
   Status RotateScaleInto(const std::vector<double>& x,
                          std::vector<double>& g) const;
 
-  /// Batched RotateScale: rotates and scales rows inputs[begin..end) into
-  /// `flat` (row-major, (end - begin) x dim(), resized as needed) with one
-  /// batched Walsh-Hadamard pass, sharding rows across `pool` when given.
-  /// Row r of `flat` is bit-identical to RotateScaleInto(inputs[begin + r])
-  /// for any thread count.
-  Status RotateScaleBatchInto(const std::vector<std::vector<double>>& inputs,
-                              size_t begin, size_t end,
-                              std::vector<double>& flat,
-                              ThreadPool* pool = nullptr) const;
-
-  /// The fused-pipeline front half of RotateScaleBatchInto: rotates rows
-  /// inputs[begin..end) into `flat` WITHOUT the Hadamard 1/sqrt(d)
-  /// normalization and WITHOUT the gamma scale (plain copy when rotation is
-  /// disabled). The caller finishes each row by multiplying every element
-  /// first by wht_norm_scale() and then by gamma() — per-element IEEE
-  /// multiplies it can fold into its own blocked sweep — after which row r
-  /// is bit-identical to RotateScaleBatchInto's row r.
+  /// The batched front half of RotateScaleInto for the fused encode
+  /// pipeline: rotates rows inputs[begin..end) into `flat` (row-major,
+  /// (end - begin) x dim(), resized as needed), sharding rows across `pool`
+  /// when given, WITHOUT the Hadamard 1/sqrt(d) normalization and WITHOUT
+  /// the gamma scale (plain copy when rotation is disabled). The caller
+  /// finishes each row by multiplying every element first by
+  /// wht_norm_scale() and then by gamma() — per-element IEEE multiplies it
+  /// can fold into its own blocked sweep — after which row r is
+  /// bit-identical to RotateScaleInto(inputs[begin + r]) for any thread
+  /// count.
   Status RotateRawBatchInto(const std::vector<std::vector<double>>& inputs,
                             size_t begin, size_t end,
                             std::vector<double>& flat,

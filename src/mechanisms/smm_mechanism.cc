@@ -69,25 +69,31 @@ StatusOr<std::unique_ptr<SmmMechanism>> SmmMechanism::Create(
       new SmmMechanism(options, std::move(codec), std::move(noiser)));
 }
 
-SmmMechanism::SmmMechanism(Options options, RotationCodec codec,
-                           SkellamMixtureNoiser noiser)
-    : RotatedModularMechanism(std::move(codec)),
-      options_(options),
-      noiser_(std::move(noiser)) {
-  // Fused-pipeline description of PerturbRotatedInto: the Algorithm 5 clip
-  // with the same floored Linf bound SmmClip derives, then plain stochastic
-  // rounding, then Skellam noise. `this` is heap-allocated by Create and
-  // never moves, so the callback's capture stays valid for the mechanism's
-  // lifetime.
+namespace {
+
+/// Fused-pipeline description of SmmMechanism::PerturbRotatedInto: the
+/// Algorithm 5 clip with the same floored Linf bound SmmClip derives, then
+/// plain stochastic rounding, then Skellam mixture noise from `noiser`.
+FusedPerturbSpec SmmFusedSpec(const SmmMechanism::Options& options,
+                              SkellamMixtureNoiser* noiser) {
   FusedPerturbSpec spec;
   spec.clip = FusedPerturbSpec::Clip::kSmm;
-  spec.smm_c = options_.c;
-  spec.smm_delta_inf = std::max(1.0, std::floor(options_.delta_inf));
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    noiser_.SampleNoiseBlock(n, out, rng);
+  spec.smm_c = options.c;
+  spec.smm_delta_inf = std::max(1.0, std::floor(options.delta_inf));
+  spec.sample_block = [noiser](size_t n, int64_t* out, RandomGenerator& rng) {
+    noiser->SampleNoiseBlock(n, out, rng);
   };
-  set_fused_perturb_spec(std::move(spec));
+  return spec;
 }
+
+}  // namespace
+
+SmmMechanism::SmmMechanism(Options options, RotationCodec codec,
+                           SkellamMixtureNoiser noiser)
+    : RotatedModularMechanism(std::move(codec),
+                              SmmFusedSpec(options, &noiser_)),
+      options_(options),
+      noiser_(std::move(noiser)) {}
 
 Status SmmMechanism::PerturbRotatedInto(RandomGenerator& rng,
                                         EncodeWorkspace& workspace,

@@ -97,21 +97,11 @@ StatusOr<secagg::SumMsg> ShardedFanoutClient::ReadMergedSum(
     return InvalidArgumentError(
         "shard plan disagrees with the fan-out shard count");
   }
-  if (clients_.size() == 1) return clients_[0].ReadSum();
-  std::vector<secagg::PartialSumMsg> partials;
-  partials.reserve(clients_.size());
-  uint64_t modulus = 0;
+  std::vector<secagg::SumMsg> shard_sums(clients_.size());
   for (size_t s = 0; s < clients_.size(); ++s) {
-    SMM_ASSIGN_OR_RETURN(secagg::SumMsg shard_sum, clients_[s].ReadSum());
-    modulus = shard_sum.modulus;
-    secagg::PartialSumMsg partial;
-    partial.modulus = shard_sum.modulus;
-    partial.num_contributors = shard_sum.num_contributors;
-    partial.shard = plan.Spec(s);
-    partial.sum = std::move(shard_sum.sum);
-    partials.push_back(std::move(partial));
+    SMM_ASSIGN_OR_RETURN(shard_sums[s], clients_[s].ReadSum());
   }
-  return secagg::MergePartialSums(std::move(partials), plan.dim(), modulus);
+  return secagg::MergeShardSums(plan, std::move(shard_sums));
 }
 
 }  // namespace smm::net

@@ -108,9 +108,10 @@ class ShardedFanoutClient {
   Status FinishSending();
 
   /// Blocks for every worker's per-range SumMsg broadcast (in shard order)
-  /// and tree-reduces them into the round's full SumMsg per `plan`, whose
-  /// shard_count must equal shard_count(). With one shard this is the
-  /// plain BlockingClient::ReadSum.
+  /// and merges them (secagg::MergeShardSums) into the round's full SumMsg
+  /// per `plan`, whose shard_count must equal shard_count(). A broadcast
+  /// whose length or modulus disagrees with the plan is kInvalidArgument.
+  /// With one shard this is the plain BlockingClient::ReadSum.
   StatusOr<secagg::SumMsg> ReadMergedSum(const secagg::ShardPlan& plan);
 
  private:

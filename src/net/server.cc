@@ -921,23 +921,12 @@ StatusOr<secagg::SumMsg> AggregationServer::WaitForShardedSum(
         "failed shard workers were reopened on spare sessions; resend "
         "their sub-frames to the updated ports and wait again");
   }
-  std::vector<secagg::PartialSumMsg> partials;
-  partials.reserve(round.shards.size());
-  uint64_t modulus = 0;
+  std::vector<secagg::SumMsg> shard_sums(round.shards.size());
   for (size_t s = 0; s < round.shards.size(); ++s) {
-    secagg::SumMsg shard_sum = std::move(*round.collected[s]);
+    shard_sums[s] = std::move(*round.collected[s]);
     round.collected[s].reset();
-    if (round.shards.size() == 1) return shard_sum;
-    modulus = shard_sum.modulus;
-    secagg::PartialSumMsg partial;
-    partial.modulus = shard_sum.modulus;
-    partial.num_contributors = shard_sum.num_contributors;
-    partial.shard = round.plan.Spec(s);
-    partial.sum = std::move(shard_sum.sum);
-    partials.push_back(std::move(partial));
   }
-  return secagg::MergePartialSums(std::move(partials), round.plan.dim(),
-                                  modulus);
+  return secagg::MergeShardSums(round.plan, std::move(shard_sums));
 }
 
 }  // namespace smm::net

@@ -188,9 +188,9 @@ class AggregationServer {
       secagg::SecureAggregator& aggregator,
       const ShardedRoundOptions& options);
 
-  /// Blocks until every shard worker of the round finalizes, then
-  /// tree-reduces their per-range sums (secagg::MergePartialSums) into the
-  /// round's SumMsg — bit-identical to the unsharded session's sum.
+  /// Blocks until every shard worker of the round finalizes, then merges
+  /// their per-range sums (secagg::MergeShardSums) into the round's SumMsg
+  /// — bit-identical to the unsharded session's sum.
   ///
   /// Shard failures follow options.failure_policy: under kFailFast the
   /// first failed worker fails the round with its status; under

@@ -4,102 +4,30 @@
 #include <utility>
 #include <variant>
 
-#include "common/simd.h"
-
 namespace smm::secagg {
 
-namespace {
-
-/// Deterministic binary tree reduction of same-range partials: pairwise
-/// AddModVec rounds until one remains. Exact modular addition makes any
-/// reduction shape bit-identical; the tree halves the dependency depth for
-/// a future parallel merge.
-PartialSumMsg ReduceRangeGroup(std::vector<PartialSumMsg> group, uint64_t m) {
-  while (group.size() > 1) {
-    std::vector<PartialSumMsg> next;
-    next.reserve((group.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < group.size(); i += 2) {
-      PartialSumMsg merged = std::move(group[i]);
-      simd::AddModVec(merged.sum.data(), group[i + 1].sum.data(),
-                      merged.sum.size(), m);
-      merged.num_contributors += group[i + 1].num_contributors;
-      next.push_back(std::move(merged));
-    }
-    if (group.size() % 2 == 1) next.push_back(std::move(group.back()));
-    group = std::move(next);
+StatusOr<SumMsg> MergeShardSums(const ShardPlan& plan,
+                                std::vector<SumMsg> shard_sums) {
+  if (shard_sums.size() != plan.shard_count()) {
+    return InvalidArgumentError("merge needs exactly one sum per shard");
   }
-  return std::move(group.front());
-}
-
-}  // namespace
-
-StatusOr<SumMsg> MergePartialSums(std::vector<PartialSumMsg> partials,
-                                  size_t dim, uint64_t modulus) {
-  if (dim < 1) return InvalidArgumentError("merge dimension must be >= 1");
-  if (modulus < 2) return InvalidArgumentError("merge modulus must be >= 2");
-  if (partials.empty()) {
-    return InvalidArgumentError("no partial sums to merge");
-  }
-  for (const PartialSumMsg& partial : partials) {
-    SMM_RETURN_IF_ERROR(ValidateShardSpec(partial.shard));
-    if (partial.shard.shard_dim != partial.sum.size()) {
+  for (size_t s = 0; s < shard_sums.size(); ++s) {
+    if (shard_sums[s].sum.size() != plan.Width(s)) {
       return InvalidArgumentError(
-          "partial sum shard_dim disagrees with its payload size");
+          "shard sum length disagrees with its shard width");
     }
-    if (partial.modulus != modulus) {
-      return InvalidArgumentError(
-          "partial sum modulus does not match the round");
-    }
-    if (uint64_t{partial.shard.dim_offset} + partial.shard.shard_dim > dim) {
-      return InvalidArgumentError(
-          "partial sum range extends past the round dimension");
+    if (shard_sums[s].modulus != shard_sums[0].modulus) {
+      return InvalidArgumentError("shard sums disagree on the modulus");
     }
   }
-  // Group by dimension range, preserving arrival order within a group.
-  std::stable_sort(partials.begin(), partials.end(),
-                   [](const PartialSumMsg& a, const PartialSumMsg& b) {
-                     if (a.shard.dim_offset != b.shard.dim_offset) {
-                       return a.shard.dim_offset < b.shard.dim_offset;
-                     }
-                     return a.shard.shard_dim < b.shard.shard_dim;
-                   });
+  if (shard_sums.size() == 1) return std::move(shard_sums[0]);
   SumMsg out;
-  out.modulus = modulus;
-  out.num_contributors = 0;
-  out.sum.assign(dim, 0);
-  size_t covered = 0;
-  size_t i = 0;
-  while (i < partials.size()) {
-    const uint32_t offset = partials[i].shard.dim_offset;
-    const uint32_t width = partials[i].shard.shard_dim;
-    size_t j = i + 1;
-    while (j < partials.size() && partials[j].shard.dim_offset == offset &&
-           partials[j].shard.shard_dim == width) {
-      ++j;
-    }
-    if (offset != covered) {
-      return InvalidArgumentError(
-          offset < covered
-              ? "partial sum ranges overlap"
-              : "partial sum ranges leave a gap in the round dimension");
-    }
-    PartialSumMsg reduced = ReduceRangeGroup(
-        std::vector<PartialSumMsg>(std::make_move_iterator(partials.begin() + i),
-                                   std::make_move_iterator(partials.begin() + j)),
-        modulus);
-    // Stitch the reduced range into the zero-initialized output with the
-    // same AddModVec the in-group reduction uses — arithmetic stays uniform
-    // and exact whether a slot is first-placed or combined.
-    simd::AddModVec(out.sum.data() + offset, reduced.sum.data(), width,
-                    modulus);
+  out.modulus = shard_sums[0].modulus;
+  out.sum.reserve(plan.dim());
+  for (const SumMsg& shard_sum : shard_sums) {
+    out.sum.insert(out.sum.end(), shard_sum.sum.begin(), shard_sum.sum.end());
     out.num_contributors =
-        std::max(out.num_contributors, reduced.num_contributors);
-    covered += width;
-    i = j;
-  }
-  if (covered != dim) {
-    return InvalidArgumentError(
-        "partial sum ranges leave a gap in the round dimension");
+        std::max(out.num_contributors, shard_sum.num_contributors);
   }
   return out;
 }
@@ -137,41 +65,77 @@ StatusOr<std::unique_ptr<ShardedCoordinator>> ShardedCoordinator::Open(
   return coordinator;
 }
 
-StatusOr<std::vector<std::vector<uint8_t>>>
-ShardedCoordinator::EncodeShardedContribution(
+StatusOr<std::vector<ContributionMsg>>
+ShardedCoordinator::PrepareShardedContribution(
     int participant, const std::vector<uint64_t>& input) const {
   if (input.size() != plan_.dim()) {
     return InvalidArgumentError(
         "contribution size disagrees with the round dimension");
   }
   const size_t shards = plan_.shard_count();
-  std::vector<std::vector<uint8_t>> frames;
-  frames.reserve(shards);
-  if (shards == 1) {
-    SMM_ASSIGN_OR_RETURN(auto prepared,
-                         base_->PrepareContribution(participant, input,
-                                                    modulus_, pool_));
-    ContributionMsg msg;
-    msg.participant_id = participant;
-    msg.modulus = modulus_;
-    msg.payload = std::move(prepared);
-    SMM_ASSIGN_OR_RETURN(frames.emplace_back(), EncodeFrame(msg));
-    return frames;
-  }
+  std::vector<ContributionMsg> messages(shards);
   for (size_t s = 0; s < shards; ++s) {
-    SMM_ASSIGN_OR_RETURN(auto slice, plan_.Slice(input, s));
-    SMM_ASSIGN_OR_RETURN(
-        auto prepared,
-        ShardAggregator(s).PrepareContribution(participant, slice, modulus_,
-                                               pool_));
-    ContributionMsg msg;
+    ContributionMsg& msg = messages[s];
     msg.participant_id = participant;
     msg.modulus = modulus_;
-    msg.payload = std::move(prepared);
-    msg.shard = plan_.Spec(s);
-    SMM_ASSIGN_OR_RETURN(frames.emplace_back(), EncodeFrame(msg));
+    if (shards == 1) {
+      // The unsharded version-1 contribution: the whole vector, no spec.
+      SMM_ASSIGN_OR_RETURN(msg.payload,
+                           base_->PrepareContribution(participant, input,
+                                                      modulus_, pool_));
+    } else {
+      SMM_ASSIGN_OR_RETURN(auto slice, plan_.Slice(input, s));
+      SMM_ASSIGN_OR_RETURN(
+          msg.payload, ShardAggregator(s).PrepareContribution(
+                           participant, slice, modulus_, pool_));
+      msg.shard = plan_.Spec(s);
+    }
+  }
+  return messages;
+}
+
+StatusOr<std::vector<std::vector<uint8_t>>>
+ShardedCoordinator::EncodeShardedContribution(
+    int participant, const std::vector<uint64_t>& input) const {
+  SMM_ASSIGN_OR_RETURN(auto messages,
+                       PrepareShardedContribution(participant, input));
+  std::vector<std::vector<uint8_t>> frames(messages.size());
+  for (size_t s = 0; s < messages.size(); ++s) {
+    SMM_ASSIGN_OR_RETURN(frames[s], EncodeFrame(messages[s]));
   }
   return frames;
+}
+
+Status ShardedCoordinator::AddContribution(
+    int participant, const std::vector<uint64_t>& input) {
+  SMM_ASSIGN_OR_RETURN(auto messages,
+                       PrepareShardedContribution(participant, input));
+  for (ContributionMsg& msg : messages) {
+    SMM_RETURN_IF_ERROR(RouteContribution(std::move(msg)));
+  }
+  return OkStatus();
+}
+
+Status ShardedCoordinator::RouteContribution(ContributionMsg msg) {
+  if (plan_.shard_count() == 1) {
+    // The single worker enforces the unsharded contract (a sharded
+    // contribution addressed at a 1-shard round is rejected there).
+    return sessions_[0]->HandleContribution(std::move(msg));
+  }
+  if (!msg.shard.has_value()) {
+    ++rejected_frames_;
+    return InvalidArgumentError(
+        "unsharded contribution sent to a sharded round");
+  }
+  const uint32_t shard = msg.shard->shard_index;
+  if (shard >= sessions_.size()) {
+    ++rejected_frames_;
+    return InvalidArgumentError(
+        "contribution shard index out of range for the round");
+  }
+  // The worker validates the full spec (offset/width/count) against its
+  // expected_shard; a mismatched spec is rejected there.
+  return sessions_[shard]->HandleContribution(std::move(msg));
 }
 
 Status ShardedCoordinator::HandleFrame(ByteSpan frame) {
@@ -181,73 +145,32 @@ Status ShardedCoordinator::HandleFrame(ByteSpan frame) {
     return message.status();
   }
   if (auto* contribution = std::get_if<ContributionMsg>(&*message)) {
-    if (plan_.shard_count() == 1) {
-      // The single worker enforces the unsharded contract (a sharded frame
-      // addressed at a 1-shard round is rejected there).
-      return sessions_[0]->HandleContribution(std::move(*contribution));
-    }
-    if (!contribution->shard.has_value()) {
-      ++rejected_frames_;
-      return InvalidArgumentError(
-          "unsharded contribution sent to a sharded round");
-    }
-    const uint32_t shard = contribution->shard->shard_index;
-    if (shard >= sessions_.size()) {
-      ++rejected_frames_;
-      return InvalidArgumentError(
-          "contribution shard index out of range for the round");
-    }
-    // The worker validates the full spec (offset/width/count) against its
-    // expected_shard; a mismatched spec is rejected there.
-    return sessions_[shard]->HandleContribution(std::move(*contribution));
+    return RouteContribution(std::move(*contribution));
   }
   if (std::get_if<SharesMsg>(&*message) != nullptr) {
     ++shares_received_;
     return OkStatus();
   }
-  if (auto* partial = std::get_if<PartialSumMsg>(&*message)) {
-    if (partial->modulus != modulus_) {
-      ++rejected_frames_;
-      return InvalidArgumentError(
-          "partial sum modulus does not match the round");
-    }
-    if (uint64_t{partial->shard.dim_offset} + partial->shard.shard_dim >
-        plan_.dim()) {
-      ++rejected_frames_;
-      return InvalidArgumentError(
-          "partial sum range extends past the round dimension");
-    }
-    remote_partials_.push_back(std::move(*partial));
-    return OkStatus();
-  }
   ++rejected_frames_;
   return InvalidArgumentError(
-      "sum frames are coordinator-outbound and cannot be received");
+      "sum and partial-sum frames cannot be received by a coordinator");
 }
 
 Status ShardedCoordinator::DrainTransport(FrameTransport& transport) {
   while (auto frame = transport.Receive()) {
     SMM_RETURN_IF_ERROR(HandleFrame(*frame));
   }
-  return OkStatus();
+  // "Drained" can mean "broken": a socket backend reports nullopt when a
+  // hard error ends the stream, and then the drain must not look clean.
+  return transport.receive_status();
 }
 
 StatusOr<SumMsg> ShardedCoordinator::Finalize() {
-  if (plan_.shard_count() == 1 && remote_partials_.empty()) {
-    return sessions_[0]->Finalize();
-  }
-  std::vector<PartialSumMsg> partials = std::move(remote_partials_);
-  partials.reserve(partials.size() + sessions_.size());
+  std::vector<SumMsg> shard_sums(sessions_.size());
   for (size_t s = 0; s < sessions_.size(); ++s) {
-    SMM_ASSIGN_OR_RETURN(SumMsg shard_sum, sessions_[s]->Finalize());
-    PartialSumMsg partial;
-    partial.modulus = shard_sum.modulus;
-    partial.num_contributors = shard_sum.num_contributors;
-    partial.shard = plan_.Spec(s);
-    partial.sum = std::move(shard_sum.sum);
-    partials.push_back(std::move(partial));
+    SMM_ASSIGN_OR_RETURN(shard_sums[s], sessions_[s]->Finalize());
   }
-  return MergePartialSums(std::move(partials), plan_.dim(), modulus_);
+  return MergeShardSums(plan_, std::move(shard_sums));
 }
 
 size_t ShardedCoordinator::contributions() const {

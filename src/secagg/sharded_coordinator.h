@@ -15,26 +15,26 @@
 
 namespace smm::secagg {
 
-/// Tree-reduces per-shard partial sums into the round's SumMsg. Partials
-/// covering the same dimension range are combined with AddModVec (their
-/// contributor counts add — same range, disjoint participant cohorts); the
-/// distinct ranges must then tile [0, dim) exactly — any overlap or gap is
-/// rejected with kInvalidArgument — and are stitched in dim_offset order.
-/// The reduction runs as a deterministic binary tree per range, though the
-/// order is immaterial for the result: modular addition is exact and
-/// commutative, so any reduction shape yields bit-identical sums. The
-/// merged num_contributors is the maximum across ranges (when every shard
-/// saw the same survivor set — the aligned case — that is exactly the
-/// unsharded count). Requires at least one partial; every partial must
-/// carry `modulus`.
-StatusOr<SumMsg> MergePartialSums(std::vector<PartialSumMsg> partials,
-                                  size_t dim, uint64_t modulus);
+/// Merges one round's per-shard sums into the round's SumMsg:
+/// shard_sums[s] is shard s's sum over plan.Spec(s)'s dimension range, so
+/// the merged sum is the shard sums concatenated in shard order. Requires
+/// exactly one sum per shard, each exactly plan.Width(s) long, all under
+/// one modulus (kInvalidArgument otherwise — the sums may have been read
+/// off the network). With one shard that shard's sum is returned
+/// unchanged; with more, num_contributors is the maximum over shards (when
+/// every shard saw the same survivor set — the aligned case — that is
+/// exactly the unsharded count).
+StatusOr<SumMsg> MergeShardSums(const ShardPlan& plan,
+                                std::vector<SumMsg> shard_sums);
 
 /// One logical aggregation round run as K shard workers plus a coordinator:
 /// each worker is an AggregationSession over one contiguous dimension range
-/// of a ShardPlan, and Finalize tree-reduces the workers' partial sums into
-/// a SumMsg bit-identical to the unsharded AggregationSession path at every
-/// shard count, thread count, and arrival order.
+/// of a ShardPlan, and Finalize merges the workers' sums (MergeShardSums)
+/// into a SumMsg bit-identical to the unsharded AggregationSession path at
+/// every shard count, thread count, and arrival order. Every in-process
+/// round runs through it: RunDistributedSum feeds it frames over a
+/// FrameTransport, and FederatedTrainer feeds it in-process contributions
+/// (AddContribution).
 ///
 /// Per-shard protocol state: each worker aggregates under the instance
 /// SecureAggregator::CreateShardAggregator derives for its shard (the
@@ -49,7 +49,9 @@ StatusOr<SumMsg> MergePartialSums(std::vector<PartialSumMsg> partials,
 /// EncodeShardedContribution slices a participant's vector per the plan,
 /// masks each slice under the owning shard's aggregator, and returns the
 /// ready-to-send sub-frames — the same bytes a remote fan-out client would
-/// put on K sockets.
+/// put on K sockets. AddContribution prepares the same per-shard messages
+/// and hands them straight to the workers, skipping the frame encode and
+/// decode.
 ///
 /// Not thread-safe, like AggregationSession: one server loop drives it
 /// (absorption may still shard across the opened pool). The base
@@ -79,19 +81,27 @@ class ShardedCoordinator {
   StatusOr<std::vector<std::vector<uint8_t>>> EncodeShardedContribution(
       int participant, const std::vector<uint64_t>& input) const;
 
+  /// In-process contribution: prepares `input` exactly as
+  /// EncodeShardedContribution does and routes each shard's message to its
+  /// worker as HandleFrame would, without framing it. The worker sums are
+  /// bit-identical to sending the encoded sub-frames.
+  Status AddContribution(int participant, const std::vector<uint64_t>& input);
+
   /// Routes one frame: sharded contributions go to the worker their
-  /// ShardSpec addresses, shares frames are acknowledged, PartialSumMsg
-  /// frames (from remote workers) are buffered for the Finalize merge.
-  /// Rejected frames never disturb any worker's running sum.
+  /// ShardSpec addresses and shares frames are acknowledged; sum and
+  /// partial-sum frames are rejected. Rejected frames never disturb any
+  /// worker's running sum.
   Status HandleFrame(ByteSpan frame);
 
   /// Drains `transport` in its order, stopping at the first frame error
-  /// (remaining frames stay queued), as AggregationSession::DrainTransport.
+  /// (remaining frames stay queued), as AggregationSession::DrainTransport:
+  /// after a clean drain it returns the transport's receive_status(), so a
+  /// channel that broke mid-stream surfaces as kDataLoss, not success.
   Status DrainTransport(FrameTransport& transport);
 
-  /// Finalizes every worker session, collects their partial sums plus any
-  /// buffered remote partials, and tree-reduces them into the round's
-  /// SumMsg. The coordinator is consumed.
+  /// Finalizes every worker session and merges their sums
+  /// (MergeShardSums) into the round's SumMsg. The coordinator is
+  /// consumed.
   StatusOr<SumMsg> Finalize();
 
   const ShardPlan& plan() const { return plan_; }
@@ -117,6 +127,15 @@ class ShardedCoordinator {
                      SecureAggregator& base)
       : plan_(plan), modulus_(modulus), pool_(pool), base_(&base) {}
 
+  /// Slices `input` per the plan and prepares each slice under its shard's
+  /// aggregator: one ContributionMsg per shard, in shard order. At
+  /// shard_count == 1 the one message is the whole, unsharded vector.
+  StatusOr<std::vector<ContributionMsg>> PrepareShardedContribution(
+      int participant, const std::vector<uint64_t>& input) const;
+
+  /// Hands one contribution to the worker its ShardSpec addresses.
+  Status RouteContribution(ContributionMsg msg);
+
   /// The aggregator serving `shard`: the derived per-shard instance, or the
   /// base when CreateShardAggregator returned nullptr.
   const SecureAggregator& ShardAggregator(size_t shard) const {
@@ -130,7 +149,6 @@ class ShardedCoordinator {
   /// One entry per shard; nullptr = the base aggregator serves that shard.
   std::vector<std::unique_ptr<SecureAggregator>> shard_aggregators_;
   std::vector<std::unique_ptr<AggregationSession>> sessions_;
-  std::vector<PartialSumMsg> remote_partials_;
   size_t shares_received_ = 0;
   size_t rejected_frames_ = 0;
 };

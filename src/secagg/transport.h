@@ -131,9 +131,10 @@ struct SumMsg {
   std::vector<uint64_t> sum;
 };
 
-/// One shard worker's aggregated sum over its dimension range, sent to the
-/// coordinator for tree reduction into the round's SumMsg. Always encoded
-/// at kWireVersionSharded; shard.shard_dim must equal sum.size().
+/// One shard worker's aggregated sum over its dimension range: the message a
+/// cross-process shard worker would send its coordinator. Only the codec
+/// uses it today; ShardedCoordinator rejects it. Always encoded at
+/// kWireVersionSharded; shard.shard_dim must equal sum.size().
 struct PartialSumMsg {
   uint64_t modulus = 0;
   uint32_t num_contributors = 0;

@@ -35,21 +35,9 @@ Status RandomRotation::ApplyInto(const std::vector<double>& x,
   return FastWalshHadamard(y);
 }
 
-Status RandomRotation::ApplyBatchInto(
-    const std::vector<std::vector<double>>& xs, size_t begin, size_t end,
-    std::vector<double>& flat, ThreadPool* pool) const {
-  return ApplyBatchImpl(xs, begin, end, flat, pool, /*normalized=*/true);
-}
-
 Status RandomRotation::ApplyRawBatchInto(
     const std::vector<std::vector<double>>& xs, size_t begin, size_t end,
     std::vector<double>& flat, ThreadPool* pool) const {
-  return ApplyBatchImpl(xs, begin, end, flat, pool, /*normalized=*/false);
-}
-
-Status RandomRotation::ApplyBatchImpl(
-    const std::vector<std::vector<double>>& xs, size_t begin, size_t end,
-    std::vector<double>& flat, ThreadPool* pool, bool normalized) const {
   const size_t d = signs_.size();
   if (begin > end || end > xs.size()) {
     return InvalidArgumentError("batch range out of bounds");
@@ -66,11 +54,7 @@ Status RandomRotation::ApplyBatchImpl(
       const std::vector<double>& x = xs[begin + r];
       double* row = flat.data() + r * d;
       for (size_t k = 0; k < d; ++k) row[k] = signs_[k] * x[k];
-      if (normalized) {
-        FastWalshHadamardKernel(row, d);
-      } else {
-        FastWalshHadamardKernelUnnormalized(row, d);
-      }
+      FastWalshHadamardKernelUnnormalized(row, d);
     }
   };
   if (pool == nullptr || pool->num_threads() == 1 || rows < 2) {

@@ -28,21 +28,14 @@ class RandomRotation {
   /// reusing its capacity (y is resized to dim()). x and y must not alias.
   Status ApplyInto(const std::vector<double>& x, std::vector<double>& y) const;
 
-  /// Batched Apply: rotates rows xs[begin..end) into `flat` (row-major,
-  /// (end - begin) x dim(), resized as needed), sharding rows across `pool`
-  /// when given. Rows are independent and every row goes through the same
-  /// kernel as ApplyInto, so the output is bit-identical to end - begin
-  /// scalar applications for any thread count.
-  Status ApplyBatchInto(const std::vector<std::vector<double>>& xs,
-                        size_t begin, size_t end, std::vector<double>& flat,
-                        ThreadPool* pool = nullptr) const;
-
-  /// ApplyBatchInto without the Hadamard normalization: row r holds
+  /// Batched Apply without the Hadamard normalization: rotates rows
+  /// xs[begin..end) into `flat` (row-major, (end - begin) x dim(), resized
+  /// as needed), sharding rows across `pool` when given; row r holds
   /// sqrt(d) * H D_xi x (the sign flip and the raw butterfly stages only).
   /// The fused encode pipeline folds the 1/sqrt(d) factor into its first
   /// blocked sweep; scaling each element by 1/sqrt(d) afterwards is the
-  /// identical IEEE multiply, so the two batch entry points stay
-  /// bit-compatible.
+  /// identical IEEE multiply, so row r is then bit-identical to
+  /// Apply(xs[begin + r]) for any thread count.
   Status ApplyRawBatchInto(const std::vector<std::vector<double>>& xs,
                            size_t begin, size_t end,
                            std::vector<double>& flat,
@@ -57,10 +50,6 @@ class RandomRotation {
  private:
   explicit RandomRotation(std::vector<int8_t> signs)
       : signs_(std::move(signs)) {}
-
-  Status ApplyBatchImpl(const std::vector<std::vector<double>>& xs,
-                        size_t begin, size_t end, std::vector<double>& flat,
-                        ThreadPool* pool, bool normalized) const;
 
   std::vector<int8_t> signs_;
 };

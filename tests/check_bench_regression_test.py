@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for the bench tooling: check_bench_regression.py's diff and
-gating logic (both the legacy bench_scaling_threads shape and the
-schema-versioned bench_matrix shape) and validate_bench_artifact.py's
-mini JSON-Schema validator. Registered with ctest so the merge gate's own
+gating logic over schema-versioned bench_matrix artifacts and
+validate_bench_artifact.py's mini JSON-Schema validator. Registered with ctest so the merge gate's own
 logic is itself gated.
 """
 
@@ -56,29 +55,9 @@ def matrix_artifact(eps=1.0e9, stable=True, bit_identical=True,
     }
 
 
-def legacy_artifact(dispatch_eps=1.0e9, scale="fast"):
-    return {
-        "bench": "bench_scaling_threads",
-        "scale": scale,
-        "hardware_threads": 8,
-        "simd_dispatch": "avx2",
-        "sections": [
-            {"name": "encode", "dim": 1024, "participants": 32,
-             "threads": [1, 8], "seconds": [1.0, 0.2],
-             "bit_identical": True},
-        ],
-        "encode_fused": [
-            {"name": "cpsgd_cheap_noise", "dim": 16384,
-             "unfused_seconds": 1.0, "fused_seconds": 0.5,
-             "unfused_eps": 1.0e6, "fused_eps": 2.0e6,
-             "fused_vs_unfused": 2.0, "bit_identical": True},
-        ],
-        "simd_kernels": [
-            {"name": "add_mod", "elements": 1 << 20,
-             "scalar_eps": 5.0e8, "dispatch_eps": dispatch_eps,
-             "speedup": dispatch_eps / 5.0e8, "identical": True},
-        ],
-    }
+# Any artifact that is not a bench_matrix report (e.g. an older format).
+NON_MATRIX_ARTIFACT = {"bench": "bench_legacy", "scale": "fast",
+                       "sections": []}
 
 
 class ArtifactFixtureMixin:
@@ -95,42 +74,6 @@ class ArtifactFixtureMixin:
     def run_check(self, baseline, current, *extra):
         argv = ["check_bench_regression.py", baseline, current, *extra]
         return cbr.main(argv)
-
-
-class LegacyDiffTest(ArtifactFixtureMixin, unittest.TestCase):
-    def test_identical_reports_pass_under_gate(self):
-        p = self.write("a.json", legacy_artifact())
-        self.assertEqual(self.run_check(p, p, "--fail-below", "0.5"), 0)
-
-    def test_kernel_regression_fails_gate(self):
-        base = self.write("base.json", legacy_artifact(dispatch_eps=1.0e9))
-        cur = self.write("cur.json", legacy_artifact(dispatch_eps=0.4e9))
-        self.assertEqual(self.run_check(base, cur, "--fail-below", "0.5"), 1)
-
-    def test_kernel_regression_informational_without_gate(self):
-        base = self.write("base.json", legacy_artifact(dispatch_eps=1.0e9))
-        cur = self.write("cur.json", legacy_artifact(dispatch_eps=0.4e9))
-        self.assertEqual(self.run_check(base, cur), 0)
-
-    def test_missing_baseline_seeds_trajectory(self):
-        cur = self.write("cur.json", legacy_artifact())
-        self.assertEqual(
-            self.run_check("/nonexistent/base.json", cur,
-                           "--fail-below", "0.5"), 0)
-
-    def test_scale_mismatch_is_informational(self):
-        base = self.write("base.json",
-                          legacy_artifact(dispatch_eps=1.0e9, scale="full"))
-        cur = self.write("cur.json",
-                         legacy_artifact(dispatch_eps=0.1e9, scale="fast"))
-        self.assertEqual(self.run_check(base, cur, "--fail-below", "0.5"), 0)
-
-    def test_unreadable_current_is_an_error(self):
-        base = self.write("base.json", legacy_artifact())
-        bad = self.write("bad.json", legacy_artifact())
-        with open(bad, "w") as f:
-            f.write("{not json")
-        self.assertEqual(self.run_check(base, bad), 1)
 
 
 class MatrixDiffTest(ArtifactFixtureMixin, unittest.TestCase):
@@ -175,12 +118,24 @@ class MatrixDiffTest(ArtifactFixtureMixin, unittest.TestCase):
             self.run_check("/nonexistent/base.json", cur,
                            "--fail-below", "0.5"), 0)
 
-    def test_shape_mismatch_is_informational(self):
-        # A legacy baseline against a matrix current (the transition PR's
-        # first run) must seed, not fail.
-        base = self.write("base.json", legacy_artifact())
+    def test_non_matrix_baseline_seeds_trajectory(self):
+        # A baseline in any other format is no readable baseline: seed, not
+        # fail.
+        base = self.write("base.json", NON_MATRIX_ARTIFACT)
         cur = self.write("cur.json", matrix_artifact(eps=0.1e9))
         self.assertEqual(self.run_check(base, cur, "--fail-below", "0.5"), 0)
+
+    def test_unreadable_current_is_an_error(self):
+        base = self.write("base.json", matrix_artifact())
+        bad = self.write("bad.json", matrix_artifact())
+        with open(bad, "w") as f:
+            f.write("{not json")
+        self.assertEqual(self.run_check(base, bad), 1)
+
+    def test_non_matrix_current_is_an_error(self):
+        base = self.write("base.json", matrix_artifact())
+        cur = self.write("cur.json", NON_MATRIX_ARTIFACT)
+        self.assertEqual(self.run_check(base, cur), 1)
 
     def test_new_point_is_not_gated(self):
         base = self.write("base.json", matrix_artifact())
@@ -202,8 +157,8 @@ class SchemaValidatorTest(ArtifactFixtureMixin, unittest.TestCase):
     def test_well_formed_matrix_artifact_conforms(self):
         self.assertEqual(self.run_validate(matrix_artifact()), 0)
 
-    def test_legacy_artifact_rejected(self):
-        self.assertEqual(self.run_validate(legacy_artifact()), 1)
+    def test_non_matrix_artifact_rejected(self):
+        self.assertEqual(self.run_validate(NON_MATRIX_ARTIFACT), 1)
 
     def test_missing_required_field_rejected(self):
         report = matrix_artifact()

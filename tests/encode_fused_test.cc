@@ -1,7 +1,8 @@
 // Property tests for the fused single-pass blocked encode pipeline: for
 // every mechanism, EncodeBatch (the fused three-sweep path) must be
-// bit-identical to EncodeBatchUnfused (the historical per-pass path) —
-// encodings, overflow accounting, and rounding-rejection accounting — across
+// bit-identical to one EncodeParticipant call per participant (the
+// per-pass test reference) — encodings, overflow accounting, and
+// rounding-rejection accounting — across
 // the full modulus range, raw input lengths padded to non-trivial
 // power-of-two dims, rows spanning multiple 2048-element fused blocks,
 // thread counts {1, 2, 8}, and every SIMD dispatch mode. Two independently
@@ -158,26 +159,24 @@ EncodeRun RunFused(RotatedModularMechanism& mechanism,
   return run;
 }
 
-/// Runs the historical per-pass EncodeBatchUnfused sequentially with the
-/// identical streams.
-EncodeRun RunUnfused(RotatedModularMechanism& mechanism,
-                     const std::vector<std::vector<double>>& inputs) {
+/// Runs the per-pass reference, one EncodeParticipant per participant in
+/// order, with the identical streams.
+EncodeRun RunReference(RotatedModularMechanism& mechanism,
+                       const std::vector<std::vector<double>>& inputs) {
   RandomGenerator rng(kStreamSeed);
   std::vector<RandomGenerator> streams =
       MakeParticipantStreams(rng, inputs.size());
   EncodeRun run;
-  run.encoded.resize(inputs.size());
-  EncodeWorkspace workspace;
-  EXPECT_TRUE(mechanism
-                  .EncodeBatchUnfused(inputs, 0, inputs.size(), streams.data(),
-                                      workspace, &run.encoded)
-                  .ok());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    run.encoded.push_back(
+        mechanism.EncodeParticipant(inputs[i], streams[i]).value());
+  }
   run.overflows = mechanism.overflow_count();
   run.rejections = Rejections(mechanism);
   return run;
 }
 
-TEST(EncodeFusedTest, FusedMatchesUnfusedAcrossModuliAndPaddedDims) {
+TEST(EncodeFusedTest, FusedMatchesReferenceAcrossModuliAndPaddedDims) {
   for (const auto& factory : AllFactories()) {
     for (uint64_t m : kModuli) {
       for (size_t raw : kRawLengths) {
@@ -185,9 +184,9 @@ TEST(EncodeFusedTest, FusedMatchesUnfusedAcrossModuliAndPaddedDims) {
         const auto inputs = MakeInputs(raw, dim);
         // Independent instances so the counters compare as totals.
         auto fused = factory.make(m, dim);
-        auto unfused = factory.make(m, dim);
+        auto reference = factory.make(m, dim);
         const EncodeRun f = RunFused(*fused, inputs, /*pool=*/nullptr);
-        const EncodeRun u = RunUnfused(*unfused, inputs);
+        const EncodeRun u = RunReference(*reference, inputs);
         EXPECT_EQ(u.encoded, f.encoded)
             << factory.name << " m=" << m << " raw=" << raw;
         EXPECT_EQ(u.overflows, f.overflows)
@@ -199,15 +198,15 @@ TEST(EncodeFusedTest, FusedMatchesUnfusedAcrossModuliAndPaddedDims) {
   }
 }
 
-TEST(EncodeFusedTest, FusedMatchesUnfusedAtEveryThreadAndDispatchMode) {
+TEST(EncodeFusedTest, FusedMatchesReferenceAtEveryThreadAndDispatchMode) {
   constexpr uint64_t kModulus = 1ull << 32;
   for (const auto& factory : AllFactories()) {
     for (size_t dim : {size_t{64}, size_t{512}}) {
       const auto inputs = MakeInputs(dim, dim);
-      // Scalar-dispatch unfused run: the reference everything else must hit.
+      // Scalar-dispatch reference run: what everything else must hit.
       simd::SetDispatchModeForTest(simd::DispatchMode::kForceScalar);
       auto reference_mechanism = factory.make(kModulus, dim);
-      const EncodeRun reference = RunUnfused(*reference_mechanism, inputs);
+      const EncodeRun reference = RunReference(*reference_mechanism, inputs);
       for (auto dispatch : {simd::DispatchMode::kForceScalar,
                             simd::DispatchMode::kForceAvx2,
                             simd::DispatchMode::kAuto}) {
@@ -240,9 +239,9 @@ TEST(EncodeFusedTest, MultiBlockRowsChainBitIdentically) {
     for (const auto& factory : AllFactories()) {
       const auto inputs = MakeInputs(kDim, kDim);
       auto fused = factory.make(m, kDim);
-      auto unfused = factory.make(m, kDim);
+      auto reference = factory.make(m, kDim);
       const EncodeRun f = RunFused(*fused, inputs, /*pool=*/nullptr);
-      const EncodeRun u = RunUnfused(*unfused, inputs);
+      const EncodeRun u = RunReference(*reference, inputs);
       EXPECT_EQ(u.encoded, f.encoded) << factory.name << " m=" << m;
       EXPECT_EQ(u.overflows, f.overflows) << factory.name << " m=" << m;
       EXPECT_EQ(u.rejections, f.rejections) << factory.name << " m=" << m;

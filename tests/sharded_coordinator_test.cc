@@ -1,14 +1,17 @@
 // Sharded-round correctness pins: a round split across K shard workers and
-// tree-reduced by the coordinator must be bit-identical to the unsharded
+// merged by the coordinator must be bit-identical to the unsharded
 // AggregationSession for every shard count, thread count, arrival order,
-// dropout pattern, and modulus (including the wrap-prone prime 2^64 - 59);
-// the K = 1 path must be byte-identical on the wire; and MergePartialSums
-// must reject overlapping or gapped range tilings.
+// dropout pattern, and modulus (including the wrap-prone prime 2^64 - 59),
+// whether contributions arrive as frames or in process (AddContribution);
+// the K = 1 path must be byte-identical on the wire; MergeShardSums must
+// reject sums that disagree with the plan; and a broken transport must
+// fail the drain.
 #include "secagg/sharded_coordinator.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -104,6 +107,28 @@ StatusOr<SumMsg> RunShardedRound(
   return round->Finalize();
 }
 
+/// The same round in process: the `senders` hand their vectors straight to
+/// the coordinator (AddContribution), no frames.
+StatusOr<SumMsg> RunInProcessRound(
+    SecureAggregator& aggregator,
+    const std::vector<std::vector<uint64_t>>& inputs,
+    const std::vector<int>& senders, size_t shard_count, uint64_t m,
+    ThreadPool* pool) {
+  ShardedCoordinator::Options options;
+  options.dim = inputs[0].size();
+  options.modulus = m;
+  options.shard_count = shard_count;
+  options.pool = pool;
+  options.tile_rows = 4;
+  SMM_ASSIGN_OR_RETURN(auto round,
+                       ShardedCoordinator::Open(aggregator, options));
+  for (const int p : senders) {
+    SMM_RETURN_IF_ERROR(
+        round->AddContribution(p, inputs[static_cast<size_t>(p)]));
+  }
+  return round->Finalize();
+}
+
 /// The unsharded reference: the pre-shard frame -> session -> stream path.
 StatusOr<SumMsg> RunUnshardedRound(
     SecureAggregator& aggregator,
@@ -142,7 +167,8 @@ StatusOr<std::unique_ptr<MaskedAggregator>> MakeMasked(int participants,
 
 // The acceptance property: K in {1, 2, 3, 8} x threads {1, 2, 8} x shuffled
 // arrivals x dropouts x moduli including 2^64 - 59, sharded == unsharded
-// bit for bit, for both provided aggregators. dim = 53 is divisible by none
+// bit for bit, for both provided aggregators, and the in-process
+// AddContribution round == the framed round. dim = 53 is divisible by none
 // of 2, 3, 8, so every K > 1 point also exercises the uneven ceil/floor
 // width split.
 TEST(ShardedCoordinatorTest, ShardedBitIdenticalToUnsharded) {
@@ -180,6 +206,15 @@ TEST(ShardedCoordinatorTest, ShardedBitIdenticalToUnsharded) {
               << " threads=" << threads;
           EXPECT_EQ(sharded->num_contributors, reference->num_contributors);
           EXPECT_EQ(sharded->modulus, m);
+
+          auto in_process = RunInProcessRound(*aggregator, inputs, senders,
+                                              shards, m, &pool);
+          ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+          EXPECT_EQ(in_process->sum, sharded->sum)
+              << "m=" << m << " shards=" << shards
+              << " threads=" << threads;
+          EXPECT_EQ(in_process->num_contributors, sharded->num_contributors);
+          EXPECT_EQ(in_process->modulus, sharded->modulus);
         }
       }
     }
@@ -336,67 +371,171 @@ TEST(ShardedCoordinatorTest, RoutingRejectsMismatchedFrames) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(MergePartialSumsTest, SameRangeCohortsCombineAndCountsAdd) {
-  constexpr uint64_t kModulus = kPrime64;
-  PartialSumMsg a;
-  a.modulus = kModulus;
-  a.num_contributors = 2;
-  a.shard = ShardSpec{0, 1, 0, 3};
-  a.sum = {kModulus - 1, 5, 7};
-  PartialSumMsg b = a;
-  b.num_contributors = 3;
-  b.sum = {2, kModulus - 2, 11};
-  auto merged = MergePartialSums({a, b}, 3, kModulus);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged->num_contributors, 5u);
-  // (m-1 + 2) mod m = 1; (5 + m-2) mod m = 3; 7 + 11 = 18.
-  EXPECT_EQ(merged->sum, (std::vector<uint64_t>{1, 3, 18}));
+// Only contributions and shares travel into a coordinator: sum and
+// partial-sum frames are rejected, counted, and leave the round intact.
+TEST(ShardedCoordinatorTest, RejectsSumAndPartialSumFrames) {
+  constexpr uint64_t kModulus = 257;
+  IdealAggregator aggregator;
+  ShardedCoordinator::Options options;
+  options.dim = 4;
+  options.modulus = kModulus;
+  options.shard_count = 2;
+  auto round = ShardedCoordinator::Open(aggregator, options);
+  ASSERT_TRUE(round.ok());
+
+  PartialSumMsg partial;
+  partial.modulus = kModulus;
+  partial.num_contributors = 1;
+  partial.shard = ShardSpec{0, 2, 0, 2};
+  partial.sum = {1, 2};
+  auto partial_frame = EncodeFrame(partial);
+  ASSERT_TRUE(partial_frame.ok());
+  EXPECT_EQ((*round)->HandleFrame(*partial_frame).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*round)->rejected_frames(), 1u);
+
+  SumMsg sum;
+  sum.modulus = kModulus;
+  sum.num_contributors = 1;
+  sum.sum = {1, 2, 3, 4};
+  auto sum_frame = EncodeFrame(sum);
+  ASSERT_TRUE(sum_frame.ok());
+  EXPECT_EQ((*round)->HandleFrame(*sum_frame).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*round)->rejected_frames(), 2u);
+
+  // The round still sums what it is sent, untouched by the rejections.
+  ASSERT_TRUE((*round)->AddContribution(0, {5, 6, 7, 8}).ok());
+  auto merged = (*round)->Finalize();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->sum, (std::vector<uint64_t>{5, 6, 7, 8}));
+  EXPECT_EQ(merged->num_contributors, 1u);
 }
 
-TEST(MergePartialSumsTest, RejectsOverlapGapAndModulusMismatch) {
+/// Forwards to an InMemoryTransport, but reports the channel broken once
+/// drained — a socket whose peer died mid-frame.
+class BrokenTransport final : public FrameTransport {
+ public:
+  Status Send(int client_id, std::vector<uint8_t> frame) override {
+    return inner_.Send(client_id, std::move(frame));
+  }
+  std::optional<std::vector<uint8_t>> Receive() override {
+    return inner_.Receive();
+  }
+  size_t pending() const override { return inner_.pending(); }
+  Status receive_status() const override {
+    return DataLossError("peer closed mid-frame");
+  }
+
+ private:
+  InMemoryTransport inner_;
+};
+
+// A drain that ends because the channel broke is not a clean drain: the
+// frames that did arrive are absorbed, and the drain reports kDataLoss
+// instead of letting the round finalize as if nothing were lost.
+TEST(ShardedCoordinatorTest, DrainTransportReportsBrokenChannel) {
   constexpr uint64_t kModulus = 1000;
-  const auto partial = [](uint32_t offset, uint32_t width, uint64_t m) {
-    PartialSumMsg p;
-    p.modulus = m;
-    p.num_contributors = 1;
-    p.shard = ShardSpec{0, 4, offset, width};
-    p.sum.assign(width, 1);
-    return p;
-  };
-  // Overlap: [0, 4) and [2, 6).
-  EXPECT_EQ(MergePartialSums({partial(0, 4, kModulus),
-                              partial(2, 4, kModulus)},
-                             6, kModulus)
+  IdealAggregator aggregator;
+  for (const size_t shards : {1u, 2u}) {
+    ShardedCoordinator::Options options;
+    options.dim = 4;
+    options.modulus = kModulus;
+    options.shard_count = shards;
+    auto round = ShardedCoordinator::Open(aggregator, options);
+    ASSERT_TRUE(round.ok());
+    auto frames = (*round)->EncodeShardedContribution(0, {1, 2, 3, 4});
+    ASSERT_TRUE(frames.ok());
+    BrokenTransport transport;
+    for (auto& frame : *frames) {
+      ASSERT_TRUE(transport.Send(0, std::move(frame)).ok());
+    }
+    EXPECT_EQ((*round)->DrainTransport(transport).code(),
+              StatusCode::kDataLoss)
+        << "shards=" << shards;
+    EXPECT_EQ(transport.pending(), 0u);
+    EXPECT_EQ((*round)->contributions(), shards);
+  }
+}
+
+SumMsg ShardSum(uint64_t modulus, uint32_t contributors,
+                std::vector<uint64_t> values) {
+  SumMsg sum;
+  sum.modulus = modulus;
+  sum.num_contributors = contributors;
+  sum.sum = std::move(values);
+  return sum;
+}
+
+TEST(MergeShardSumsTest, ConcatenatesInShardOrderWithMaxContributors) {
+  auto plan = ShardPlan::Create(5, 2);  // Widths 3 and 2.
+  ASSERT_TRUE(plan.ok());
+  auto merged = MergeShardSums(
+      *plan, {ShardSum(kPrime64, 4, {kPrime64 - 1, 0, 7}),
+              ShardSum(kPrime64, 6, {11, 13})});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->sum,
+            (std::vector<uint64_t>{kPrime64 - 1, 0, 7, 11, 13}));
+  EXPECT_EQ(merged->modulus, kPrime64);
+  // Shards that saw different survivor sets: the maximum, not the sum.
+  EXPECT_EQ(merged->num_contributors, 6u);
+}
+
+TEST(MergeShardSumsTest, SingleShardReturnsItsSumUnchanged) {
+  auto plan = ShardPlan::Create(3, 1);
+  ASSERT_TRUE(plan.ok());
+  auto merged = MergeShardSums(*plan, {ShardSum(97, 9, {96, 0, 5})});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->sum, (std::vector<uint64_t>{96, 0, 5}));
+  EXPECT_EQ(merged->modulus, 97u);
+  EXPECT_EQ(merged->num_contributors, 9u);
+}
+
+TEST(MergeShardSumsTest, RejectsWrongShardCount) {
+  auto plan = ShardPlan::Create(4, 2);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(MergeShardSums(*plan, {ShardSum(97, 1, {1, 2})}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MergeShardSums(*plan, {ShardSum(97, 1, {1, 2}),
+                                   ShardSum(97, 1, {3, 4}),
+                                   ShardSum(97, 1, {5, 6})})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  // Interior gap: [0, 2) and [4, 6).
-  EXPECT_EQ(MergePartialSums({partial(0, 2, kModulus),
-                              partial(4, 2, kModulus)},
-                             6, kModulus)
+  EXPECT_EQ(MergeShardSums(*plan, {}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(MergeShardSumsTest, RejectsSumLengthDifferentFromShardWidth) {
+  auto plan = ShardPlan::Create(5, 2);  // Widths 3 and 2.
+  ASSERT_TRUE(plan.ok());
+  // Right total length, wrong split.
+  EXPECT_EQ(MergeShardSums(*plan, {ShardSum(97, 1, {1, 2}),
+                                   ShardSum(97, 1, {3, 4, 5})})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  // Tail gap: [0, 4) alone over dim 6.
-  EXPECT_EQ(MergePartialSums({partial(0, 4, kModulus)}, 6, kModulus)
+  // Short last shard.
+  EXPECT_EQ(MergeShardSums(*plan, {ShardSum(97, 1, {1, 2, 3}),
+                                   ShardSum(97, 1, {4})})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  // Range past the round dimension.
-  EXPECT_EQ(MergePartialSums({partial(4, 4, kModulus)}, 6, kModulus)
+  // One shard must still cover the whole dimension.
+  auto single = ShardPlan::Create(3, 1);
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(MergeShardSums(*single, {ShardSum(97, 1, {1, 2})}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(MergeShardSumsTest, RejectsShardsDisagreeingOnModulus) {
+  auto plan = ShardPlan::Create(4, 2);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(MergeShardSums(*plan, {ShardSum(97, 1, {1, 2}),
+                                   ShardSum(98, 1, {3, 4})})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  // Modulus mismatch.
-  EXPECT_EQ(MergePartialSums({partial(0, 6, kModulus + 1)}, 6, kModulus)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // The happy tiling those rejections bracket.
-  EXPECT_TRUE(MergePartialSums({partial(0, 4, kModulus),
-                                partial(4, 2, kModulus)},
-                               6, kModulus)
-                  .ok());
 }
 
 }  // namespace

@@ -253,7 +253,7 @@ TEST(FederatedTrainerTest, TrainingIsThreadCountInvariant) {
 
 TEST(FederatedTrainerTest, TrainingIsShardCountInvariant) {
   // The dimension-sharded aggregation path (config.shard_count > 1: K
-  // per-shard streams stitched by MergePartialSums) must reproduce the
+  // shard workers merged by MergeShardSums) must reproduce the
   // unsharded run bit for bit, at one and several threads.
   auto task = SmallTask();
   FlConfig base = FastConfig(MechanismKind::kSmm);

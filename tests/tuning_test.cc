@@ -1,7 +1,6 @@
 // Tests for the runtime tuning layer (common/tuning.h): tuning.json
 // round-trip and strict parse rejection, the DefaultTileRows fallback when
-// no calibration is loaded, the SIMD dispatch-crossover hook, and the
-// load-bearing guarantee that makes the whole layer safe — tile sizing is
+// no calibration is loaded, and the load-bearing guarantee that makes the whole layer safe — tile sizing is
 // a pure performance knob, so any calibrated value produces bit-identical
 // encodings and sums at any thread count.
 #include "common/tuning.h"
@@ -13,7 +12,6 @@
 
 #include "common/parallel.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "mechanisms/distributed_mechanism.h"
 #include "mechanisms/smm_mechanism.h"
 #include "secagg/secure_aggregator.h"
@@ -34,7 +32,6 @@ TEST_F(TuningTest, JsonRoundTrip) {
   tuning.tile_rows_per_thread = 48;
   tuning.threads_per_session = 6;
   tuning.shard_count = 4;
-  tuning.simd_crossover = {{"add_mod", 512}, {"wht_butterfly", 0}};
 
   const std::string json = RuntimeTuningToJson(tuning);
   auto parsed = ParseRuntimeTuning(json);
@@ -42,20 +39,15 @@ TEST_F(TuningTest, JsonRoundTrip) {
   EXPECT_EQ(parsed->tile_rows_per_thread, 48u);
   EXPECT_EQ(parsed->threads_per_session, 6);
   EXPECT_EQ(parsed->shard_count, 4u);
-  ASSERT_EQ(parsed->simd_crossover.size(), 2u);
-  EXPECT_EQ(parsed->simd_crossover[0].first, "add_mod");
-  EXPECT_EQ(parsed->simd_crossover[0].second, 512u);
-  EXPECT_EQ(parsed->simd_crossover[1].first, "wht_butterfly");
-  EXPECT_EQ(parsed->simd_crossover[1].second, 0u);
 }
 
-TEST_F(TuningTest, EmptyCrossoverRoundTrips) {
+TEST_F(TuningTest, DefaultsRoundTrip) {
   const std::string json = RuntimeTuningToJson(RuntimeTuning());
   auto parsed = ParseRuntimeTuning(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->tile_rows_per_thread, kTileRowsPerThread);
   EXPECT_EQ(parsed->threads_per_session, 0);
-  EXPECT_TRUE(parsed->simd_crossover.empty());
+  EXPECT_EQ(parsed->shard_count, 1u);
 }
 
 TEST_F(TuningTest, ParseRejectsMalformedInput) {
@@ -64,19 +56,19 @@ TEST_F(TuningTest, ParseRejectsMalformedInput) {
       "[]",                                      // Wrong top-level type.
       "{\"tile_rows_per_thread\": 8}",           // Missing schema_version.
       "{\"schema_version\": 99}",                // Unsupported version.
-      "{\"schema_version\": 1,",                 // Truncated.
-      "{\"schema_version\": 1} trailing",        // Trailing content.
-      "{\"schema_version\": 1, \"bogus\": 3}",   // Unknown field.
-      "{\"schema_version\": 1, \"tile_rows_per_thread\": 0}",   // Domain.
-      "{\"schema_version\": 1, \"tile_rows_per_thread\": 1.5}", // Float.
-      "{\"schema_version\": 1, \"threads_per_session\": -1}",   // Domain.
-      "{\"schema_version\": 1, \"threads_per_session\": 5000}", // Domain.
-      "{\"schema_version\": 1, \"shard_count\": 0}",            // Domain.
-      "{\"schema_version\": 1, \"shard_count\": 5000}",         // Domain.
-      "{\"schema_version\": 1, \"shard_count\": 2.5}",          // Float.
-      "{\"schema_version\": 1, \"simd_crossover\": 3}",  // Not an object.
-      "{\"schema_version\": 1, \"simd_crossover\": {\"nope\": 1}}",
-      "{\"schema_version\": 1, \"simd_crossover\": {\"add_mod\": -4}}",
+      // Version 1, the format with per-kernel SIMD crossovers.
+      "{\"schema_version\": 1, \"tile_rows_per_thread\": 8}",
+      "{\"schema_version\": 2,",                 // Truncated.
+      "{\"schema_version\": 2} trailing",        // Trailing content.
+      "{\"schema_version\": 2, \"bogus\": 3}",   // Unknown field.
+      "{\"schema_version\": 2, \"simd_crossover\": {}}",        // Removed.
+      "{\"schema_version\": 2, \"tile_rows_per_thread\": 0}",   // Domain.
+      "{\"schema_version\": 2, \"tile_rows_per_thread\": 1.5}", // Float.
+      "{\"schema_version\": 2, \"threads_per_session\": -1}",   // Domain.
+      "{\"schema_version\": 2, \"threads_per_session\": 5000}", // Domain.
+      "{\"schema_version\": 2, \"shard_count\": 0}",            // Domain.
+      "{\"schema_version\": 2, \"shard_count\": 5000}",         // Domain.
+      "{\"schema_version\": 2, \"shard_count\": 2.5}",          // Float.
   };
   for (const char* json : cases) {
     auto parsed = ParseRuntimeTuning(json);
@@ -103,20 +95,13 @@ TEST_F(TuningTest, SetRuntimeTuningInstallsAndResets) {
   tuning.tile_rows_per_thread = 7;
   tuning.threads_per_session = 3;
   tuning.shard_count = 8;
-  tuning.simd_crossover = {{"add_mod", 1024}};
   SetRuntimeTuning(tuning);
   EXPECT_EQ(TunedTileRows(2), 14u);
   EXPECT_EQ(TunedSessionThreads(), 3);
   EXPECT_EQ(TunedShardCount(), 8u);
-  EXPECT_EQ(simd::DispatchCrossover(simd::KernelId::kAddMod), 1024u);
-  // Below the crossover the scalar table serves the call; above it the
-  // active table does. Either way the result is bit-identical, so the
-  // crossover is purely a dispatch decision.
-  EXPECT_STREQ(simd::ForLength(simd::KernelId::kAddMod, 512).name, "scalar");
 
   ResetRuntimeTuningForTest();
   EXPECT_EQ(TunedTileRows(2), DefaultTileRows(2));
-  EXPECT_EQ(simd::DispatchCrossover(simd::KernelId::kAddMod), 0u);
   EXPECT_EQ(TunedShardCount(), 1u);
 }
 

@@ -216,6 +216,9 @@ TEST(RandomRotationTest, DimensionMismatchRejected) {
   EXPECT_FALSE(rotation->Inverse(wrong).ok());
 }
 
+// ApplyRawBatchInto leaves the 1/sqrt(d) normalization to the caller:
+// multiplying each raw row by 1.0 / std::sqrt(d) must reproduce Apply bit
+// for bit (the identity FastWalshHadamardKernelUnnormalized documents).
 TEST(RandomRotationTest, BatchApplyMatchesScalarBitForBit) {
   const size_t d = 256;
   auto rotation = RandomRotation::Create(d, 17);
@@ -233,18 +236,19 @@ TEST(RandomRotationTest, BatchApplyMatchesScalarBitForBit) {
     expected.push_back(std::move(*y));
   }
   std::vector<double> flat;
-  ASSERT_TRUE(rotation->ApplyBatchInto(xs, 1, 5, flat).ok());
+  ASSERT_TRUE(rotation->ApplyRawBatchInto(xs, 1, 5, flat).ok());
   ASSERT_EQ(flat.size(), 4 * d);
+  const double norm = 1.0 / std::sqrt(static_cast<double>(d));
   for (size_t r = 0; r < 4; ++r) {
     for (size_t j = 0; j < d; ++j) {
-      ASSERT_EQ(flat[r * d + j], expected[r][j])
+      ASSERT_EQ(flat[r * d + j] * norm, expected[r][j])
           << "row " << r << " coordinate " << j;
     }
   }
   for (int threads : {2, 8}) {
     ThreadPool pool(threads);
     std::vector<double> parallel;
-    ASSERT_TRUE(rotation->ApplyBatchInto(xs, 1, 5, parallel, &pool).ok());
+    ASSERT_TRUE(rotation->ApplyRawBatchInto(xs, 1, 5, parallel, &pool).ok());
     EXPECT_EQ(flat, parallel) << threads << " threads";
   }
 }
@@ -254,9 +258,9 @@ TEST(RandomRotationTest, BatchApplyValidates) {
   ASSERT_TRUE(rotation.ok());
   std::vector<double> flat;
   std::vector<std::vector<double>> xs(2, std::vector<double>(64, 1.0));
-  EXPECT_FALSE(rotation->ApplyBatchInto(xs, 1, 3, flat).ok());  // Range.
+  EXPECT_FALSE(rotation->ApplyRawBatchInto(xs, 1, 3, flat).ok());  // Range.
   xs[1].resize(32);  // Ragged row.
-  EXPECT_FALSE(rotation->ApplyBatchInto(xs, 0, 2, flat).ok());
+  EXPECT_FALSE(rotation->ApplyRawBatchInto(xs, 0, 2, flat).ok());
 }
 
 }  // namespace
