@@ -13,9 +13,11 @@ print informational ratios only.
 
 The gated set is deliberate: the stable loops are short, allocation-free,
 and best-of-N, so a 2x drop means a real kernel regression, not scheduler
-noise. The wall-time scenarios (thread scaling, end-to-end encode, TCP
-server) stay informational at any threshold, because shared CI runners
-jitter far too much to gate merges on them.
+noise. bench_matrix writes only the stable simd_kernels scenario;
+wall-time scenarios, which schema-1 artifacts also carry, stay
+informational at any threshold, because shared CI runners jitter far too
+much to gate merges on them. Both schema versions share the run keys, so a
+schema-1 baseline still gates a schema-2 run.
 
 A missing, unreadable or non-matrix baseline is not an error — the first
 run of a fresh trajectory prints the current numbers and exits 0, so the CI

@@ -1,11 +1,10 @@
 #ifndef SMM_BENCH_SIMD_CASES_H_
 #define SMM_BENCH_SIMD_CASES_H_
 
-// The per-kernel benchmark cases of the SIMD layer, run by the
-// simd_kernels scenario (scalar-reference vs dispatched throughput with a
-// bit-identity cross-check). One SimdCaseSet owns every input and output
-// buffer for a given element count, so a case can be re-run without
-// reallocating.
+// The per-kernel benchmark cases of the SIMD layer, run by bench_matrix
+// (scalar-reference vs dispatched throughput with a bit-identity
+// cross-check). One SimdCaseSet owns every input and output buffer for a
+// given element count, so a case can be re-run without reallocating.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,9 +48,13 @@ class SimdCaseSet {
         flr_(n),
         frac_(n) {
     RandomGenerator rng(43);
+    const uint64_t half = m_ / 2;
     for (auto& v : signed_vals_) {
-      v = static_cast<int64_t>(rng.UniformUint64(m_)) -
-          static_cast<int64_t>(m_ / 2);
+      // u - floor(m/2), formed without signed overflow (u may exceed
+      // INT64_MAX).
+      const uint64_t u = rng.UniformUint64(m_);
+      v = u >= half ? static_cast<int64_t>(u - half)
+                    : -static_cast<int64_t>(half - u);
     }
     for (auto& v : residues_) v = rng.UniformUint64(m_);
     for (auto& v : residues_b_) v = rng.UniformUint64(m_);
@@ -114,7 +117,7 @@ class SimdCaseSet {
          },
          out(frac_), n * sizeof(double)});
     // One full stage at the cache-block span the transform's phase-1 stages
-    // use (clamped so short calibration lengths still form one butterfly).
+    // use (clamped so short lengths still form one butterfly).
     const size_t h = n / 2 < size_t{1024} ? n / 2 : size_t{1024};
     cases_.push_back(
         {"wht_butterfly",

@@ -58,9 +58,9 @@ struct FlConfig {
 
   /// Dimension-range shard workers per aggregation round. 1 = today's
   /// single-session path; K > 1 splits each round across K narrower
-  /// shard workers whose sums the coordinator merges; 0 = the
-  /// tuned default (TunedShardCount). A pure performance dial: the sharded
-  /// round is bit-identical to the unsharded one at every K.
+  /// shard workers whose sums the coordinator merges. Must be >= 1. A pure
+  /// performance dial: the sharded round is bit-identical to the unsharded
+  /// one at every K.
   int shard_count = 1;
 
   /// Aggregation-round failures (deadline expiry, transport loss) the run

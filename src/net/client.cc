@@ -36,10 +36,10 @@ StatusOr<secagg::SumMsg> BlockingClient::ReadSum() {
   std::vector<uint8_t> chunk(64 * 1024);
   while (true) {
     if (auto frame = reassembler_.NextFrame()) {
-      SMM_ASSIGN_OR_RETURN(secagg::WireMessage message,
-                           secagg::DecodeFrame(ByteSpan(frame->data(),
-                                                        frame->size())));
-      auto* sum = std::get_if<secagg::SumMsg>(&message);
+      auto message =
+          secagg::DecodeFrame(ByteSpan(frame->data(), frame->size()));
+      if (!message.ok()) return message.status();
+      auto* sum = std::get_if<secagg::SumMsg>(&*message);
       if (sum == nullptr) {
         return InvalidArgumentError(
             "server sent a non-sum frame to a client");

@@ -104,11 +104,6 @@ Status AggregationSession::HandleFrame(ByteSpan frame) {
     return OkStatus();
   }
   ++rejected_frames_;
-  if (std::get_if<PartialSumMsg>(&*message) != nullptr) {
-    return InvalidArgumentError(
-        "partial sum frames are coordinator-inbound and cannot be received "
-        "by an aggregation session");
-  }
   return InvalidArgumentError(
       "sum frames are server-outbound and cannot be received");
 }

@@ -17,7 +17,7 @@ namespace smm::secagg {
 /// by at most one and concatenating the ranges in shard order reproduces
 /// [0, dim) exactly. Empty shards cannot exist: Create rejects K > d (and
 /// K < 1) with kInvalidArgument, so every worker owns at least one
-/// coordinate and every PartialSumMsg has a non-empty payload.
+/// coordinate and every sliced ContributionMsg has a non-empty payload.
 ///
 /// The plan is a pure function of (dim, shard_count); clients and servers
 /// construct it independently and agree on every ShardSpec byte-for-byte.
@@ -38,7 +38,7 @@ class ShardPlan {
   size_t Width(size_t shard) const;
 
   /// The wire-format spec addressing `shard`, as carried by every sliced
-  /// ContributionMsg and PartialSumMsg of the round.
+  /// ContributionMsg of the round.
   ShardSpec Spec(size_t shard) const;
 
   /// Copies `shard`'s coordinate range out of a full d-vector.

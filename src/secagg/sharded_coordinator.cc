@@ -153,7 +153,7 @@ Status ShardedCoordinator::HandleFrame(ByteSpan frame) {
   }
   ++rejected_frames_;
   return InvalidArgumentError(
-      "sum and partial-sum frames cannot be received by a coordinator");
+      "sum frames cannot be received by a coordinator");
 }
 
 Status ShardedCoordinator::DrainTransport(FrameTransport& transport) {

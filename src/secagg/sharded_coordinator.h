@@ -88,9 +88,8 @@ class ShardedCoordinator {
   Status AddContribution(int participant, const std::vector<uint64_t>& input);
 
   /// Routes one frame: sharded contributions go to the worker their
-  /// ShardSpec addresses and shares frames are acknowledged; sum and
-  /// partial-sum frames are rejected. Rejected frames never disturb any
-  /// worker's running sum.
+  /// ShardSpec addresses and shares frames are acknowledged; sum frames are
+  /// rejected. Rejected frames never disturb any worker's running sum.
   Status HandleFrame(ByteSpan frame);
 
   /// Drains `transport` in its order, stopping at the first frame error
@@ -108,12 +107,6 @@ class ShardedCoordinator {
   size_t shard_count() const { return plan_.shard_count(); }
   size_t dim() const { return plan_.dim(); }
   uint64_t modulus() const { return modulus_; }
-
-  /// Running-sum bytes resident on shard `shard`'s worker — the per-worker
-  /// memory that scales as ~d/K (each worker holds only its range).
-  size_t ShardResidentBytes(size_t shard) const {
-    return plan_.Width(shard) * sizeof(uint64_t);
-  }
 
   /// Contributions accepted across all workers (sub-frames, not logical
   /// participants: one participant lands K sub-frames at shard count K).

@@ -195,26 +195,6 @@ StatusOr<std::vector<uint8_t>> EncodeFrame(const SumMsg& msg) {
   return FinishFrame(std::move(frame));
 }
 
-StatusOr<std::vector<uint8_t>> EncodeFrame(const PartialSumMsg& msg) {
-  if (msg.modulus < 2) {
-    return InvalidArgumentError("partial sum modulus must be >= 2");
-  }
-  if (msg.sum.empty()) {
-    return InvalidArgumentError("partial sum payload must be non-empty");
-  }
-  SMM_RETURN_IF_ERROR(CheckShardAgainstPayload(msg.shard, msg.sum.size()));
-  SMM_RETURN_IF_ERROR(CheckElementCount(msg.sum.size(), 8, 32));
-  std::vector<uint8_t> frame =
-      BeginFrame(kWireVersionSharded, MessageType::kPartialSum,
-                 32 + 8 * msg.sum.size());
-  AppendU32(frame, msg.num_contributors);
-  AppendU32(frame, static_cast<uint32_t>(msg.sum.size()));
-  AppendU64(frame, msg.modulus);
-  AppendShardSpec(frame, msg.shard);
-  for (uint64_t v : msg.sum) AppendU64(frame, v);
-  return FinishFrame(std::move(frame));
-}
-
 StatusOr<WireMessage> DecodeFrame(ByteSpan frame) {
   const uint8_t* data = frame.data();
   const size_t size = frame.size();
@@ -337,33 +317,6 @@ StatusOr<WireMessage> DecodeFrame(ByteSpan frame) {
       msg.sum.resize(count);
       for (uint64_t i = 0; i < count; ++i) {
         msg.sum[i] = LoadU64(payload + 16 + 8 * i);
-      }
-      return WireMessage(std::move(msg));
-    }
-    case static_cast<uint8_t>(MessageType::kPartialSum): {
-      if (version != kWireVersionSharded) {
-        return InvalidArgumentError(
-            "partial sum frames require wire version 2");
-      }
-      if (payload_len < 32) {
-        return InvalidArgumentError("partial sum payload truncated");
-      }
-      PartialSumMsg msg;
-      msg.num_contributors = LoadU32(payload);
-      const uint64_t count = LoadU32(payload + 4);
-      msg.modulus = LoadU64(payload + 8);
-      if (msg.modulus < 2) {
-        return InvalidArgumentError("partial sum modulus must be >= 2");
-      }
-      if (count == 0 || payload_len != 32 + 8 * count) {
-        return InvalidArgumentError(
-            "partial sum count disagrees with the payload length");
-      }
-      msg.shard = LoadShardSpec(payload + 16);
-      SMM_RETURN_IF_ERROR(CheckShardAgainstPayload(msg.shard, count));
-      msg.sum.resize(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        msg.sum[i] = LoadU64(payload + 32 + 8 * i);
       }
       return WireMessage(std::move(msg));
     }

@@ -49,19 +49,17 @@ namespace smm::secagg {
 /// Version 2 ("sharded") payload layouts (LE). The version byte gates the
 /// shard extension: every version-1 frame above stays byte-identical, and a
 /// version-2 frame unconditionally carries a 16-byte ShardSpec after the
-/// modulus. Only the two sharded message types exist at version 2; a
-/// version-2 kShares/kSum (and a version-1 kPartialSum) is structurally
-/// malformed and rejected with kInvalidArgument.
+/// modulus. Only kContribution exists at version 2; a version-2
+/// kShares/kSum is structurally malformed and rejected with
+/// kInvalidArgument.
 ///   kContribution  participant_id u32 | count u32 | modulus u64
-///                  | ShardSpec (4 x u32) | count x value u64
-///   kPartialSum    num_contributors u32 | count u32 | modulus u64
 ///                  | ShardSpec (4 x u32) | count x value u64
 ///   ShardSpec      shard_index u32 | shard_count u32 | dim_offset u32
 ///                  | shard_dim u32
 
 inline constexpr uint8_t kWireVersion = 1;
 /// Wire version of the shard extension: contributions sliced to one shard's
-/// dimension range and the per-shard partial sums a coordinator merges.
+/// dimension range.
 inline constexpr uint8_t kWireVersionSharded = 2;
 inline constexpr size_t kFrameHeaderBytes = 12;
 inline constexpr size_t kFrameChecksumBytes = 8;
@@ -76,7 +74,6 @@ enum class MessageType : uint8_t {
   kContribution = 1,
   kShares = 2,
   kSum = 3,
-  kPartialSum = 4,
 };
 
 /// Addresses one shard of a dimension-sharded round: shard `shard_index` of
@@ -131,20 +128,8 @@ struct SumMsg {
   std::vector<uint64_t> sum;
 };
 
-/// One shard worker's aggregated sum over its dimension range: the message a
-/// cross-process shard worker would send its coordinator. Only the codec
-/// uses it today; ShardedCoordinator rejects it. Always encoded at
-/// kWireVersionSharded; shard.shard_dim must equal sum.size().
-struct PartialSumMsg {
-  uint64_t modulus = 0;
-  uint32_t num_contributors = 0;
-  ShardSpec shard;
-  std::vector<uint64_t> sum;
-};
-
 /// A successfully parsed frame, one alternative per message type.
-using WireMessage =
-    std::variant<ContributionMsg, SharesMsg, SumMsg, PartialSumMsg>;
+using WireMessage = std::variant<ContributionMsg, SharesMsg, SumMsg>;
 
 /// Serializes a message into one framed byte string. Fails on a negative
 /// participant id, a modulus < 2, a payload over kMaxPayloadBytes, or a
@@ -152,7 +137,6 @@ using WireMessage =
 StatusOr<std::vector<uint8_t>> EncodeFrame(const ContributionMsg& msg);
 StatusOr<std::vector<uint8_t>> EncodeFrame(const SharesMsg& msg);
 StatusOr<std::vector<uint8_t>> EncodeFrame(const SumMsg& msg);
-StatusOr<std::vector<uint8_t>> EncodeFrame(const PartialSumMsg& msg);
 
 /// Parses one frame. `frame.size()` must be the exact frame length.
 /// Structurally malformed input (bad magic/version/type, trailing bytes,

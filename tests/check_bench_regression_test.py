@@ -22,12 +22,10 @@ import validate_bench_artifact as vba  # noqa: E402
 def matrix_artifact(eps=1.0e9, stable=True, bit_identical=True,
                     scale="fast"):
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "bench": "bench_matrix",
         "scale": scale,
         "host": {"hardware_threads": 8, "simd_dispatch": "avx2"},
-        "tuning": {"source": "defaults", "tile_rows_per_thread": 32,
-                   "threads_per_session": 0},
         "scenarios": [
             {"name": "simd_kernels", "stable": stable, "runs": [
                 {"label": "add_mod",
@@ -53,6 +51,16 @@ def matrix_artifact(eps=1.0e9, stable=True, bit_identical=True,
             ]},
         ],
     }
+
+
+def schema1_artifact(eps=1.0e9):
+    """A schema-1 artifact, as cached baselines from before version 2 are:
+    the same scenarios plus the runtime-tuning block version 2 dropped."""
+    report = matrix_artifact(eps=eps)
+    report["schema_version"] = 1
+    report["tuning"] = {"source": "default", "tile_rows_per_thread": 32,
+                        "threads_per_session": 0}
+    return report
 
 
 # Any artifact that is not a bench_matrix report (e.g. an older format).
@@ -137,6 +145,16 @@ class MatrixDiffTest(ArtifactFixtureMixin, unittest.TestCase):
         cur = self.write("cur.json", NON_MATRIX_ARTIFACT)
         self.assertEqual(self.run_check(base, cur), 1)
 
+    def test_schema1_baseline_matches_current_rows(self):
+        # A cached schema-1 baseline still gates a schema-2 run: the rows
+        # match by key, so a 2.5x kernel slowdown trips the gate and equal
+        # throughput passes it.
+        base = self.write("base.json", schema1_artifact(eps=1.0e9))
+        slow = self.write("slow.json", matrix_artifact(eps=0.4e9))
+        same = self.write("same.json", matrix_artifact(eps=1.0e9))
+        self.assertEqual(self.run_check(base, slow, "--fail-below", "0.5"), 1)
+        self.assertEqual(self.run_check(base, same, "--fail-below", "0.5"), 0)
+
     def test_new_point_is_not_gated(self):
         base = self.write("base.json", matrix_artifact())
         cur_report = matrix_artifact(eps=0.1e9)
@@ -162,8 +180,12 @@ class SchemaValidatorTest(ArtifactFixtureMixin, unittest.TestCase):
 
     def test_missing_required_field_rejected(self):
         report = matrix_artifact()
-        del report["tuning"]
+        del report["host"]
         self.assertEqual(self.run_validate(report), 1)
+
+    def test_schema1_artifact_rejected(self):
+        # Version 2 dropped the tuning block; the schema accepts only 2.
+        self.assertEqual(self.run_validate(schema1_artifact()), 1)
 
     def test_unknown_field_rejected(self):
         report = matrix_artifact()

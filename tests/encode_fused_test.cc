@@ -5,7 +5,8 @@
 // rounding-rejection accounting — across
 // the full modulus range, raw input lengths padded to non-trivial
 // power-of-two dims, rows spanning multiple 2048-element fused blocks,
-// thread counts {1, 2, 8}, and every SIMD dispatch mode. Two independently
+// batches spanning several batched-rotation tiles, thread counts
+// {1, 2, 8}, and every SIMD dispatch mode. Two independently
 // constructed mechanism instances run the two paths, so the counters can be
 // compared as totals without any reset plumbing.
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,12 +51,13 @@ size_t PaddedDim(size_t raw) {
   return d;
 }
 
-/// Inputs of length `dim` whose first `raw` coordinates are Gaussian and
-/// whose tail is the zero padding a caller with a raw-length vector would
-/// append.
-std::vector<std::vector<double>> MakeInputs(size_t raw, size_t dim) {
+/// `participants` inputs of length `dim` whose first `raw` coordinates are
+/// Gaussian and whose tail is the zero padding a caller with a raw-length
+/// vector would append.
+std::vector<std::vector<double>> MakeInputs(
+    size_t raw, size_t dim, size_t participants = kNumParticipants) {
   RandomGenerator rng(31 * raw + dim);
-  std::vector<std::vector<double>> inputs(kNumParticipants,
+  std::vector<std::vector<double>> inputs(participants,
                                           std::vector<double>(dim, 0.0));
   for (auto& x : inputs) {
     for (size_t j = 0; j < raw; ++j) x[j] = rng.Gaussian(0.0, 0.05);
@@ -200,9 +203,17 @@ TEST(EncodeFusedTest, FusedMatchesReferenceAcrossModuliAndPaddedDims) {
 
 TEST(EncodeFusedTest, FusedMatchesReferenceAtEveryThreadAndDispatchMode) {
   constexpr uint64_t kModulus = 1ull << 32;
+  // {dim, participants}. EncodeBatch rotates kTileRowsPerThread rows at a
+  // time, so at one thread the 2 * kTileRowsPerThread + 5 batch spans three
+  // rotation tiles, the last one partial.
+  const std::pair<size_t, size_t> kShapes[] = {
+      {64, kNumParticipants},
+      {512, kNumParticipants},
+      {64, 2 * kTileRowsPerThread + 5},
+  };
   for (const auto& factory : AllFactories()) {
-    for (size_t dim : {size_t{64}, size_t{512}}) {
-      const auto inputs = MakeInputs(dim, dim);
+    for (const auto& [dim, participants] : kShapes) {
+      const auto inputs = MakeInputs(dim, dim, participants);
       // Scalar-dispatch reference run: what everything else must hit.
       simd::SetDispatchModeForTest(simd::DispatchMode::kForceScalar);
       auto reference_mechanism = factory.make(kModulus, dim);
@@ -216,12 +227,15 @@ TEST(EncodeFusedTest, FusedMatchesReferenceAtEveryThreadAndDispatchMode) {
           auto fused = factory.make(kModulus, dim);
           const EncodeRun f = RunFused(*fused, inputs, &pool);
           EXPECT_EQ(reference.encoded, f.encoded)
-              << factory.name << " dim=" << dim << " threads=" << threads
+              << factory.name << " dim=" << dim
+              << " participants=" << participants << " threads=" << threads
               << " dispatch=" << static_cast<int>(dispatch);
           EXPECT_EQ(reference.overflows, f.overflows)
-              << factory.name << " dim=" << dim << " threads=" << threads;
+              << factory.name << " dim=" << dim
+              << " participants=" << participants << " threads=" << threads;
           EXPECT_EQ(reference.rejections, f.rejections)
-              << factory.name << " dim=" << dim << " threads=" << threads;
+              << factory.name << " dim=" << dim
+              << " participants=" << participants << " threads=" << threads;
         }
       }
       simd::SetDispatchModeForTest(simd::DispatchMode::kAuto);

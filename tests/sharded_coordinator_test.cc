@@ -2,10 +2,10 @@
 // merged by the coordinator must be bit-identical to the unsharded
 // AggregationSession for every shard count, thread count, arrival order,
 // dropout pattern, and modulus (including the wrap-prone prime 2^64 - 59),
-// whether contributions arrive as frames or in process (AddContribution);
-// the K = 1 path must be byte-identical on the wire; MergeShardSums must
-// reject sums that disagree with the plan; and a broken transport must
-// fail the drain.
+// whether contributions arrive as frames (also through duplicate and
+// reorder faults) or in process (AddContribution); the K = 1 path must be
+// byte-identical on the wire; MergeShardSums must reject sums that disagree
+// with the plan; and a broken transport must fail the drain.
 #include "secagg/sharded_coordinator.h"
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "common/math_util.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "secagg/fault_injection.h"
 #include "secagg/secure_aggregator.h"
 #include "secagg/session.h"
 #include "secagg/shard_plan.h"
@@ -66,15 +67,30 @@ std::vector<uint64_t> PlainSum(const std::vector<std::vector<uint64_t>>& inputs,
   return sum;
 }
 
+/// The frame trailer's FNV-1a 64, for re-checksumming a retagged frame.
+/// The multiply wraps by design, hence the annotation for the
+/// unsigned-overflow sanitizer.
+SMM_NO_SANITIZE_UNSIGNED_WRAP
+uint64_t TestFnv1a64(const uint8_t* data, size_t size) {
+  uint64_t hash = 14695981039346656037ULL;
+  for (size_t i = 0; i < size; ++i) {
+    hash = (hash ^ data[i]) * 1099511628211ULL;
+  }
+  return hash;
+}
+
 /// One full sharded round over the loopback transport: the `senders` encode
 /// sharded contributions, every sub-frame is delivered in a deterministic
 /// shuffle of (sender, shard) order, and the coordinator merge returns the
-/// round SumMsg.
+/// round SumMsg. With `chaos` set the frames pass through a
+/// FaultInjectingTransport on that schedule, whose counts land in
+/// `chaos_stats`.
 StatusOr<SumMsg> RunShardedRound(
     SecureAggregator& aggregator,
     const std::vector<std::vector<uint64_t>>& inputs,
     const std::vector<int>& senders, size_t shard_count, uint64_t m,
-    ThreadPool* pool, uint64_t shuffle_seed) {
+    ThreadPool* pool, uint64_t shuffle_seed,
+    const FaultSchedule* chaos = nullptr, FaultStats* chaos_stats = nullptr) {
   ShardedCoordinator::Options options;
   options.dim = inputs[0].size();
   options.modulus = m;
@@ -98,12 +114,21 @@ StatusOr<SumMsg> RunShardedRound(
     std::swap(frames[i - 1],
               frames[static_cast<size_t>(rng.UniformUint64(i))]);
   }
-  InMemoryTransport transport;
-  for (size_t i = 0; i < frames.size(); ++i) {
-    SMM_RETURN_IF_ERROR(
-        transport.Send(static_cast<int>(i), std::move(frames[i])));
+  InMemoryTransport loopback;
+  std::optional<FaultInjectingTransport> chaotic;
+  if (chaos != nullptr) chaotic.emplace(loopback, *chaos);
+  FrameTransport& transport =
+      chaotic.has_value() ? static_cast<FrameTransport&>(*chaotic) : loopback;
+  // One client queue, so the drain order is the send order and a reorder
+  // fault really swaps two arrivals.
+  for (auto& frame : frames) {
+    SMM_RETURN_IF_ERROR(transport.Send(/*client_id=*/0, std::move(frame)));
   }
+  SMM_RETURN_IF_ERROR(transport.FinishSending());
   SMM_RETURN_IF_ERROR(round->DrainTransport(transport));
+  if (chaotic.has_value() && chaos_stats != nullptr) {
+    *chaos_stats = chaotic->stats();
+  }
   return round->Finalize();
 }
 
@@ -167,7 +192,9 @@ StatusOr<std::unique_ptr<MaskedAggregator>> MakeMasked(int participants,
 
 // The acceptance property: K in {1, 2, 3, 8} x threads {1, 2, 8} x shuffled
 // arrivals x dropouts x moduli including 2^64 - 59, sharded == unsharded
-// bit for bit, for both provided aggregators, and the in-process
+// bit for bit, for both provided aggregators; the framed round through
+// duplicate and reorder faults == the unsharded round (first-wins dedup and
+// commutative modular addition absorb both exactly); and the in-process
 // AddContribution round == the framed round. dim = 53 is divisible by none
 // of 2, 3, 8, so every K > 1 point also exercises the uneven ceil/floor
 // width split.
@@ -206,6 +233,32 @@ TEST(ShardedCoordinatorTest, ShardedBitIdenticalToUnsharded) {
               << " threads=" << threads;
           EXPECT_EQ(sharded->num_contributors, reference->num_contributors);
           EXPECT_EQ(sharded->modulus, m);
+
+          // The schedule depends only on (m, K), so every one of them runs
+          // whatever thread counts do. Each of these eight seeds duplicates
+          // and reorders at least one of its round's 8K frames, asserted
+          // below, so no point passes vacuously.
+          FaultSchedule chaos;
+          chaos.duplicate = 0.10;
+          chaos.reorder = 0.10;
+          chaos.seed = 21 * shards + m % 1009;
+          FaultStats chaos_stats;
+          auto chaotic = RunShardedRound(*aggregator, inputs, senders,
+                                         shards, m, &pool,
+                                         /*shuffle_seed=*/shards * 31 +
+                                             static_cast<uint64_t>(threads),
+                                         &chaos, &chaos_stats);
+          ASSERT_TRUE(chaotic.ok())
+              << "m=" << m << " shards=" << shards << " threads=" << threads
+              << ": " << chaotic.status().ToString();
+          EXPECT_EQ(chaotic->sum, reference->sum)
+              << "chaos m=" << m << " shards=" << shards
+              << " threads=" << threads;
+          EXPECT_EQ(chaotic->num_contributors, reference->num_contributors);
+          EXPECT_GE(chaos_stats.duplicated, 1u)
+              << "m=" << m << " shards=" << shards;
+          EXPECT_GE(chaos_stats.reordered, 1u)
+              << "m=" << m << " shards=" << shards;
 
           auto in_process = RunInProcessRound(*aggregator, inputs, senders,
                                               shards, m, &pool);
@@ -371,8 +424,9 @@ TEST(ShardedCoordinatorTest, RoutingRejectsMismatchedFrames) {
             StatusCode::kInvalidArgument);
 }
 
-// Only contributions and shares travel into a coordinator: sum and
-// partial-sum frames are rejected, counted, and leave the round intact.
+// Only contributions and shares travel into a coordinator: sum frames and
+// frames of an unknown type are rejected, counted, and leave the round
+// intact.
 TEST(ShardedCoordinatorTest, RejectsSumAndPartialSumFrames) {
   constexpr uint64_t kModulus = 257;
   IdealAggregator aggregator;
@@ -383,14 +437,23 @@ TEST(ShardedCoordinatorTest, RejectsSumAndPartialSumFrames) {
   auto round = ShardedCoordinator::Open(aggregator, options);
   ASSERT_TRUE(round.ok());
 
-  PartialSumMsg partial;
-  partial.modulus = kModulus;
-  partial.num_contributors = 1;
-  partial.shard = ShardSpec{0, 2, 0, 2};
-  partial.sum = {1, 2};
-  auto partial_frame = EncodeFrame(partial);
-  ASSERT_TRUE(partial_frame.ok());
-  EXPECT_EQ((*round)->HandleFrame(*partial_frame).code(),
+  // Type 4 was the shard-worker partial sum, which the wire format no
+  // longer has. Its layout matched a sharded contribution's, so retagging
+  // one and re-checksumming it yields exactly such a frame.
+  ContributionMsg contribution;
+  contribution.participant_id = 1;
+  contribution.modulus = kModulus;
+  contribution.payload = {1, 2};
+  contribution.shard = ShardSpec{0, 2, 0, 2};
+  auto partial = EncodeFrame(contribution);
+  ASSERT_TRUE(partial.ok());
+  (*partial)[5] = 4;
+  const size_t body = partial->size() - kFrameChecksumBytes;
+  const uint64_t checksum = TestFnv1a64(partial->data(), body);
+  for (size_t b = 0; b < kFrameChecksumBytes; ++b) {
+    (*partial)[body + b] = static_cast<uint8_t>(checksum >> (8 * b));
+  }
+  EXPECT_EQ((*round)->HandleFrame(*partial).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ((*round)->rejected_frames(), 1u);
 

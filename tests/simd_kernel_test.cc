@@ -59,7 +59,12 @@ std::vector<int64_t> SignedValues(uint64_t m, size_t n, uint64_t seed) {
     } else if (j % 3 == 0) {
       out[j] = static_cast<int64_t>(rng.NextBits());  // Full-range.
     } else {
-      out[j] = static_cast<int64_t>(rng.UniformUint64(m)) + lo;  // In-window.
+      // In-window: v - floor(m/2), formed without signed overflow or
+      // unsigned wrap (v may exceed INT64_MAX when m is near 2^64).
+      const uint64_t v = rng.UniformUint64(m);
+      const uint64_t half = m / 2;
+      out[j] = v >= half ? static_cast<int64_t>(v - half)
+                         : -static_cast<int64_t>(half - v);
     }
   }
   return out;

@@ -151,6 +151,27 @@ TEST(SumPipelineFailureInjection, EmptyInputsRejected) {
   EXPECT_FALSE(RunDistributedSum(**mech, agg, {}, rng).ok());
 }
 
+TEST(SumPipelineFailureInjection, ZeroShardCountRejected) {
+  SmmMechanism::Options o;
+  o.dim = 64;
+  o.gamma = 8.0;
+  o.c = 64.0;
+  o.delta_inf = 8.0;
+  o.lambda = 0.5;
+  o.modulus = 1 << 16;
+  auto mech = SmmMechanism::Create(o);
+  ASSERT_TRUE(mech.ok());
+  secagg::IdealAggregator agg;
+  RandomGenerator rng(3);
+  const std::vector<std::vector<double>> inputs(2,
+                                                std::vector<double>(64, 0.1));
+  EXPECT_EQ(RunDistributedSum(**mech, agg, inputs, rng, /*pool=*/nullptr,
+                              /*shard_count=*/0)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
   // The wire path RunDistributedSum now runs (tile-encode -> mask -> frame
   // -> session -> stream) must be bit-identical to the former

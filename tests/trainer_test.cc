@@ -292,9 +292,12 @@ TEST(FederatedTrainerTest, TrainingIsShardCountInvariant) {
       }
     }
   }
-  // shard_count is validated against the padded model dimension.
+  // shard_count must lie in [1, padded model dimension].
   FlConfig bad = base;
   bad.shard_count = -1;
+  EXPECT_FALSE(
+      FederatedTrainer::Create(SmallModel(), task.train, task.test, bad).ok());
+  bad.shard_count = 0;
   EXPECT_FALSE(
       FederatedTrainer::Create(SmallModel(), task.train, task.test, bad).ok());
   bad.shard_count = 1 << 20;

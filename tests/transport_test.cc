@@ -48,18 +48,6 @@ void Rechecksum(std::vector<uint8_t>& frame) {
   }
 }
 
-PartialSumMsg MakePartialSum(uint64_t seed, const ShardSpec& spec,
-                             uint64_t m) {
-  RandomGenerator rng(seed);
-  PartialSumMsg msg;
-  msg.modulus = m;
-  msg.num_contributors = static_cast<uint32_t>(rng.UniformUint64(500));
-  msg.shard = spec;
-  msg.sum.resize(spec.shard_dim);
-  for (auto& v : msg.sum) v = rng.UniformUint64(m);
-  return msg;
-}
-
 TEST(TransportFrameTest, ContributionRoundTrip) {
   const uint64_t m = 18446744073709551557ULL;  // 2^64 - 59.
   const ContributionMsg msg = MakeContribution(1, 37, m);
@@ -217,10 +205,15 @@ TEST(TransportFrameTest, UnknownVersionAndTypeRejected) {
     wrong_version[4] = kWireVersion + 1;
     EXPECT_FALSE(DecodeFrame(wrong_version).ok());
   }
-  {
+  // Type 4 was a shard worker's partial sum, a wire type since removed.
+  // Re-checksummed, so only the type check can reject the frame.
+  for (const uint8_t type : {uint8_t{4}, uint8_t{99}}) {
     std::vector<uint8_t> wrong_type = *frame;
-    wrong_type[5] = 99;
-    EXPECT_FALSE(DecodeFrame(wrong_type).ok());
+    wrong_type[5] = type;
+    Rechecksum(wrong_type);
+    EXPECT_EQ(DecodeFrame(wrong_type).status().code(),
+              StatusCode::kInvalidArgument)
+        << "type=" << int{type};
   }
 }
 
@@ -287,48 +280,15 @@ TEST(TransportFrameTest, UnshardedContributionStaysVersionOne) {
   EXPECT_EQ(frame->size(), kFrameOverheadBytes + 16 + 8 * 6);
 }
 
-TEST(TransportFrameTest, PartialSumRoundTrip) {
-  const uint64_t m = 18446744073709551557ULL;
-  const PartialSumMsg msg = MakePartialSum(15, ShardSpec{2, 3, 8, 7}, m);
-  auto frame = EncodeFrame(msg);
-  ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(frame->size(), kFrameOverheadBytes + 32 + 8 * msg.sum.size());
-  EXPECT_EQ((*frame)[4], kWireVersionSharded);
-  auto decoded = DecodeFrame(*frame);
-  ASSERT_TRUE(decoded.ok());
-  const auto* out = std::get_if<PartialSumMsg>(&*decoded);
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->modulus, msg.modulus);
-  EXPECT_EQ(out->num_contributors, msg.num_contributors);
-  EXPECT_EQ(out->shard, msg.shard);
-  EXPECT_EQ(out->sum, msg.sum);
-}
-
-TEST(TransportFrameTest, PartialSumEveryTruncationRejected) {
-  const PartialSumMsg msg = MakePartialSum(16, ShardSpec{0, 2, 0, 9}, 1 << 16);
-  auto frame = EncodeFrame(msg);
-  ASSERT_TRUE(frame.ok());
-  for (size_t len = 0; len < frame->size(); ++len) {
-    auto decoded = DecodeFrame(ByteSpan(frame->data(), len));
-    ASSERT_FALSE(decoded.ok()) << "len=" << len;
-    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << "len=" << len;
-  }
-}
-
 TEST(TransportFrameTest, ShardedEverySingleByteCorruptionRejected) {
   ContributionMsg msg = MakeContribution(17, 4, 1 << 20);
   msg.shard = ShardSpec{0, 2, 0, 4};
-  auto contribution = EncodeFrame(msg);
-  ASSERT_TRUE(contribution.ok());
-  auto partial =
-      EncodeFrame(MakePartialSum(18, ShardSpec{1, 2, 4, 3}, 1 << 20));
-  ASSERT_TRUE(partial.ok());
-  for (const auto* frame : {&*contribution, &*partial}) {
-    for (size_t pos = 0; pos < frame->size(); ++pos) {
-      std::vector<uint8_t> corrupt = *frame;
-      corrupt[pos] ^= 0x40;
-      EXPECT_FALSE(DecodeFrame(corrupt).ok()) << "pos=" << pos;
-    }
+  auto frame = EncodeFrame(msg);
+  ASSERT_TRUE(frame.ok());
+  for (size_t pos = 0; pos < frame->size(); ++pos) {
+    std::vector<uint8_t> corrupt = *frame;
+    corrupt[pos] ^= 0x40;
+    EXPECT_FALSE(DecodeFrame(corrupt).ok()) << "pos=" << pos;
   }
 }
 
@@ -347,17 +307,9 @@ TEST(TransportFrameTest, EncodeRejectsMalformedShardSpecs) {
     EXPECT_EQ(EncodeFrame(msg).status().code(), StatusCode::kInvalidArgument);
   }
   {
-    // Empty shard (shard_dim 0).
-    PartialSumMsg msg;
-    msg.modulus = m;
-    msg.num_contributors = 1;
-    msg.shard = ShardSpec{0, 1, 0, 0};
-    EXPECT_EQ(EncodeFrame(msg).status().code(), StatusCode::kInvalidArgument);
-  }
-  {
     // dim_offset + shard_dim overflows u32.
-    PartialSumMsg msg = MakePartialSum(20, ShardSpec{0, 1, 0, 3}, m);
-    msg.shard.dim_offset = 0xffffffffu - 1;
+    ContributionMsg msg = MakeContribution(20, 3, m);
+    msg.shard = ShardSpec{0, 1, 0xffffffffu - 1, 3};
     EXPECT_EQ(EncodeFrame(msg).status().code(), StatusCode::kInvalidArgument);
   }
 }
@@ -413,8 +365,8 @@ TEST(TransportFrameTest, VersionGatingRejectsCrossVersionTypes) {
     EXPECT_EQ(DecodeFrame(v2).status().code(), StatusCode::kInvalidArgument);
   }
   {
-    // A version-2 kSum frame does not exist either (shard workers emit
-    // kPartialSum; only the coordinator emits the v1 kSum).
+    // A version-2 kSum frame does not exist either (only the coordinator
+    // emits a sum, and it is whole: version 1).
     SumMsg msg;
     msg.modulus = m;
     msg.num_contributors = 2;
@@ -425,16 +377,6 @@ TEST(TransportFrameTest, VersionGatingRejectsCrossVersionTypes) {
     v2[4] = kWireVersionSharded;
     Rechecksum(v2);
     EXPECT_EQ(DecodeFrame(v2).status().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    // A version-1 kPartialSum does not exist: the partial-sum layout
-    // requires the ShardSpec the v1 header has no room for.
-    auto frame = EncodeFrame(MakePartialSum(22, ShardSpec{0, 2, 0, 3}, m));
-    ASSERT_TRUE(frame.ok());
-    std::vector<uint8_t> v1 = *frame;
-    v1[4] = kWireVersion;
-    Rechecksum(v1);
-    EXPECT_EQ(DecodeFrame(v1).status().code(), StatusCode::kInvalidArgument);
   }
   {
     // A sharded contribution downgraded to version 1 reads as a v1
