@@ -1,15 +1,15 @@
 // Streaming aggregation walkthrough: summing a participant population that
-// would never fit in memory as a batch, at a modulus where naive uint64
+// would never fit in memory all at once, at a modulus where naive uint64
 // accumulation would silently wrap.
 //
-// The batch API (`Aggregate(inputs, m)`) needs every encoded vector
-// resident at once — O(n·d) memory, hopeless for the "millions of users"
-// regime. A streaming session (`Open(dim, m)` -> `Absorb`* -> `Finalize()`)
-// folds each contribution into an O(d) running sum the moment it arrives
-// (O(threads·d) while a tile is absorbed in parallel), so the peak resident
-// footprint is independent of the participant count. All accumulation is
-// exact integer arithmetic mod m, so the streamed sum is bit-identical to
-// the batch sum — verified below against a 128-bit reference.
+// Holding every encoded vector resident at once takes O(n·d) memory,
+// hopeless for the "millions of users" regime. Secure aggregation is
+// therefore one streaming session (`Open(dim, m)` -> `Absorb`* ->
+// `Finalize()`) that folds each contribution into an O(d) running sum the
+// moment it arrives (O(threads·d) while a tile is absorbed in parallel), so
+// the peak resident footprint is independent of the participant count. All
+// accumulation is exact integer arithmetic mod m — verified below against a
+// 128-bit reference.
 //
 // Build & run:  ./build/example_streaming_aggregation
 #include <algorithm>
@@ -23,9 +23,9 @@
 
 int main() {
   // --- Part 1: the ideal aggregator at population scale. ---
-  // 200k participants x 256 dims at m = 2^64 - 59: the batch path would
-  // hold ~400 MB of encoded vectors; the stream holds one 2 KB running sum
-  // plus the single tile in flight.
+  // 200k participants x 256 dims at m = 2^64 - 59: holding every encoded
+  // vector would take ~400 MB; the stream holds one 2 KB running sum plus
+  // the single tile in flight.
   constexpr size_t kParticipants = 200000;
   constexpr size_t kDim = 256;
   constexpr size_t kTile = 1024;
@@ -74,13 +74,13 @@ int main() {
       ++mismatches;
     }
   }
-  const double batch_mb = static_cast<double>(kParticipants) * kDim * 8 / 1e6;
+  const double all_mb = static_cast<double>(kParticipants) * kDim * 8 / 1e6;
   const double stream_kb = static_cast<double>(kDim) * 8 / 1e3;
   std::printf("ideal streaming sum over %zu participants x %zu dims\n",
               kParticipants, kDim);
   std::printf("  modulus m = 2^64 - 59 (naive accumulation would wrap)\n");
-  std::printf("  batch path would hold %.0f MB; stream holds %.1f KB\n",
-              batch_mb, stream_kb);
+  std::printf("  all contributions would take %.0f MB; stream holds %.1f KB\n",
+              all_mb, stream_kb);
   std::printf("  128-bit reference cross-check: %s\n\n",
               mismatches == 0 ? "bit-identical" : "MISMATCH (bug!)");
   if (mismatches != 0) return 1;

@@ -333,7 +333,7 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
       // each encoding to the round.
       // Forking the streams tile by tile consumes rng_ exactly as one
       // up-front MakeParticipantStreams(rng_, count) would, so the encodings
-      // are bit-identical to the batch-materializing pipeline.
+      // do not depend on the tile size.
       for (auto& g : gradients) g.resize(padded_dim_, 0.0);
       std::vector<RandomGenerator> streams =
           MakeParticipantStreams(rng_, tile_count);

@@ -106,11 +106,10 @@ class FederatedTrainer {
   /// gradients, encode, hand each encoding to the round's
   /// secagg::ShardedCoordinator (AddContribution, no framing) — so peak
   /// memory is O(threads·d) regardless of how many participants the
-  /// Poisson sample drew, and the result is bit-identical to materializing
-  /// every encoded vector and batch-aggregating. The coordinator runs
-  /// shard_count_ workers over the ShardPlan's contiguous dimension ranges
-  /// — still bit-identical at every K (exact modular arithmetic per
-  /// coordinate).
+  /// Poisson sample drew, and the result is bit-identical for every tile
+  /// size and thread count. The coordinator runs shard_count_ workers over
+  /// the ShardPlan's contiguous dimension ranges — still bit-identical at
+  /// every K (exact modular arithmetic per coordinate).
   StatusOr<std::vector<double>> AggregateRound(
       const std::vector<size_t>& participant_indices, double* mean_loss);
 
@@ -121,8 +120,8 @@ class FederatedTrainer {
 
   size_t padded_dim_ = 0;
   double sampling_rate_ = 0.0;
-  /// Resolved shard workers per round (config.shard_count, or the tuned
-  /// default when the config asked for 0). 1 = the unsharded session.
+  /// Shard workers per round (config.shard_count, validated >= 1 and at
+  /// most the padded dimension). 1 = the unsharded session.
   size_t shard_count_ = 1;
 
   std::unique_ptr<mechanisms::DistributedSumMechanism> mechanism_;

@@ -25,18 +25,6 @@ constexpr size_t kFusedBlockElems = 2048;
 
 }  // namespace
 
-Status DistributedSumMechanism::EncodeBatch(
-    const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
-    RandomGenerator* rng_streams, EncodeWorkspace& workspace,
-    std::vector<std::vector<uint64_t>>* out) {
-  (void)workspace;  // The fallback has no fused pipeline to reuse it in.
-  for (size_t i = begin; i < end; ++i) {
-    SMM_ASSIGN_OR_RETURN((*out)[i],
-                         EncodeParticipant(inputs[i], rng_streams[i]));
-  }
-  return OkStatus();
-}
-
 StatusOr<std::vector<uint64_t>> RotatedModularMechanism::EncodeParticipant(
     const std::vector<double>& x, RandomGenerator& rng) {
   EncodeWorkspace workspace;
@@ -239,12 +227,11 @@ StatusOr<std::vector<double>> RunDistributedSum(
   // protocol; sliced per shard when the round is sharded), framed, sent
   // over the loopback transport, and absorbed by the round's worker streams
   // before the next tile is encoded. Resident state is one tile of
-  // encodings plus the workers' O(threads·d) running sums — the
-  // batch-materializing O(participants·d) encoded buffer is gone. (The
-  // `encoded` vector below has one entry per participant, but only the
-  // current tile's entries ever hold a payload; outside the tile they are
-  // empty, so its footprint has no d factor — same order as the
-  // per-participant rng streams.)
+  // encodings plus the workers' O(threads·d) running sums, never an
+  // O(participants·d) encoded buffer. (The `encoded` vector below has one
+  // entry per participant, but only the current tile's entries ever hold a
+  // payload; outside the tile they are empty, so its footprint has no d
+  // factor — same order as the per-participant rng streams.)
   //
   // The ShardedCoordinator at shard_count == 1 runs exactly one unsharded
   // AggregationSession over version-1 frames, so the single-shard round is

@@ -91,14 +91,14 @@ class DistributedSumMechanism {
   /// Contract: the encoding of participant i depends only on inputs[i] and
   /// rng_streams[i], so any partition of [0, n) into ranges — one per
   /// thread, each with its own workspace — yields bit-identical output.
-  /// Implementations override this with an allocation-free fused pipeline;
-  /// the default delegates to EncodeParticipant and consumes each stream
-  /// identically, so overriding never changes results, only speed.
+  /// Each participant's output and stream consumption must equal
+  /// EncodeParticipant's; RotatedModularMechanism implements this with an
+  /// allocation-free fused pipeline.
   virtual Status EncodeBatch(const std::vector<std::vector<double>>& inputs,
                              size_t begin, size_t end,
                              RandomGenerator* rng_streams,
                              EncodeWorkspace& workspace,
-                             std::vector<std::vector<uint64_t>>* out);
+                             std::vector<std::vector<uint64_t>>* out) = 0;
 
   /// Server procedure: converts the aggregated Z_m sum into an unbiased
   /// estimate of sum_i x_i. num_participants is the count that contributed.
@@ -221,10 +221,9 @@ StatusOr<std::vector<std::vector<uint64_t>>> EncodeBatchParallel(
 /// tier into the aggregator's streaming sum; the framed SumMsg result is
 /// decoded into the estimated sum (same length as the inputs). Resident
 /// payload memory is one tile of encodings plus the stream's O(threads·d)
-/// state — the O(participants·d) encoded buffer is gone; only d-free
-/// per-participant bookkeeping (the rng streams) scales with n — and the
-/// output is bit-identical to the former batch-materializing path at every
-/// thread count.
+/// state; only d-free per-participant bookkeeping (the rng streams) scales
+/// with n. At every thread count the output is bit-identical to encoding
+/// every participant at once, summing exactly and decoding once.
 ///
 /// `shard_count` picks the round's aggregation tier: 1 runs today's single
 /// AggregationSession; K > 1 runs the round as K dimension-range shard

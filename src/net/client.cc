@@ -24,12 +24,6 @@ Status BlockingClient::SendContribution(const secagg::ContributionMsg& msg) {
   return SendFrame(ByteSpan(frame.data(), frame.size()));
 }
 
-Status BlockingClient::SendShares(const secagg::SharesMsg& msg) {
-  SMM_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
-                       secagg::EncodeFrame(msg));
-  return SendFrame(ByteSpan(frame.data(), frame.size()));
-}
-
 Status BlockingClient::FinishSending() { return ShutdownSend(fd_.get()); }
 
 StatusOr<secagg::SumMsg> BlockingClient::ReadSum() {

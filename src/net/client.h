@@ -52,9 +52,8 @@ class BlockingClient {
   /// the kernel TCP window is the backpressure).
   Status SendFrame(ByteSpan frame);
 
-  /// Encode-and-send conveniences.
+  /// Encode-and-send convenience.
   Status SendContribution(const secagg::ContributionMsg& msg);
-  Status SendShares(const secagg::SharesMsg& msg);
 
   /// Half-closes the sending side (shutdown(SHUT_WR)): tells the server
   /// this connection will contribute nothing more, while the socket stays

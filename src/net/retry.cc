@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <utility>
 
 #include "common/random.h"
 
@@ -60,50 +59,21 @@ StatusOr<secagg::SumMsg> AttemptContributionRound(
   return client.ReadSum();
 }
 
-StatusOr<secagg::SumMsg> AttemptShardedRound(
-    const std::vector<uint16_t>& ports,
-    const std::vector<std::vector<uint8_t>>& frames,
-    const secagg::ShardPlan& plan, const BlockingClient::Options& options) {
-  SMM_ASSIGN_OR_RETURN(ShardedFanoutClient client,
-                       ShardedFanoutClient::Connect(ports, options));
-  SMM_RETURN_IF_ERROR(client.SendShardFrames(frames));
-  SMM_RETURN_IF_ERROR(client.FinishSending());
-  return client.ReadMergedSum(plan);
-}
+}  // namespace
 
-template <typename Attempt>
-StatusOr<secagg::SumMsg> RunWithRetry(Attempt&& attempt,
-                                      const RetryPolicy& retry,
-                                      int* attempts_out) {
+StatusOr<secagg::SumMsg> RunContributionRound(
+    uint16_t port, ByteSpan frame, const BlockingClient::Options& options,
+    const RetryPolicy& retry, int* attempts_out) {
   RetryState state(retry);
   while (true) {
-    StatusOr<secagg::SumMsg> result = attempt();
+    StatusOr<secagg::SumMsg> result =
+        AttemptContributionRound(port, frame, options);
     if (result.ok() || !IsRetryableStatus(result.status()) ||
         !state.BackoffAndRetry()) {
       if (attempts_out != nullptr) *attempts_out = state.attempts();
       return result;
     }
   }
-}
-
-}  // namespace
-
-StatusOr<secagg::SumMsg> RunContributionRound(
-    uint16_t port, ByteSpan frame, const BlockingClient::Options& options,
-    const RetryPolicy& retry, int* attempts_out) {
-  return RunWithRetry(
-      [&] { return AttemptContributionRound(port, frame, options); }, retry,
-      attempts_out);
-}
-
-StatusOr<secagg::SumMsg> RunShardedContributionRound(
-    const std::vector<uint16_t>& ports,
-    const std::vector<std::vector<uint8_t>>& frames,
-    const secagg::ShardPlan& plan, const BlockingClient::Options& options,
-    const RetryPolicy& retry, int* attempts_out) {
-  return RunWithRetry(
-      [&] { return AttemptShardedRound(ports, frames, plan, options); },
-      retry, attempts_out);
 }
 
 }  // namespace smm::net

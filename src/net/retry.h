@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/span.h"
 #include "common/status.h"
 #include "net/client.h"
-#include "secagg/shard_plan.h"
 #include "secagg/transport.h"
 
 namespace smm::net {
@@ -73,17 +71,6 @@ class RetryState {
 /// `attempts_out` (optional) reports how many attempts were consumed.
 StatusOr<secagg::SumMsg> RunContributionRound(
     uint16_t port, ByteSpan frame, const BlockingClient::Options& options,
-    const RetryPolicy& retry, int* attempts_out = nullptr);
-
-/// Sharded analog: each attempt connects a fan-out to `ports` (shard
-/// order), sends sub-frame s to worker s, half-closes, and reads the
-/// merged sum per `plan`. A retryable failure retries the whole fan-out —
-/// every worker session dedups resends, so re-sending all sub-frames is
-/// exactly as safe as one.
-StatusOr<secagg::SumMsg> RunShardedContributionRound(
-    const std::vector<uint16_t>& ports,
-    const std::vector<std::vector<uint8_t>>& frames,
-    const secagg::ShardPlan& plan, const BlockingClient::Options& options,
     const RetryPolicy& retry, int* attempts_out = nullptr);
 
 }  // namespace smm::net

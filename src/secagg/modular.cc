@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "common/math_util.h"
 #include "common/simd.h"
 
 namespace smm::secagg {
@@ -34,42 +33,6 @@ int64_t CenterLift(uint64_t value, uint64_t m) {
     return -static_cast<int64_t>(m - value);
   }
   return static_cast<int64_t>(value);
-}
-
-StatusOr<std::vector<uint64_t>> AddMod(const std::vector<uint64_t>& a,
-                                       const std::vector<uint64_t>& b,
-                                       uint64_t m) {
-  if (a.size() != b.size()) {
-    return InvalidArgumentError("AddMod: length mismatch");
-  }
-  if (m < 2) return InvalidArgumentError("AddMod: modulus must be >= 2");
-  // Reduce a into the output, then fold b in with the vector kernel — the
-  // same AddMod(a % m, b % m, m) per element as the historical loop.
-  std::vector<uint64_t> out(a.size());
-  simd::ModReduceInto(a.data(), a.size(), m, out.data());
-  simd::AddModVec(out.data(), b.data(), b.size(), m);
-  return out;
-}
-
-StatusOr<std::vector<uint64_t>> SubMod(const std::vector<uint64_t>& a,
-                                       const std::vector<uint64_t>& b,
-                                       uint64_t m) {
-  if (a.size() != b.size()) {
-    return InvalidArgumentError("SubMod: length mismatch");
-  }
-  if (m < 2) return InvalidArgumentError("SubMod: modulus must be >= 2");
-  std::vector<uint64_t> out(a.size());
-  simd::ModReduceInto(a.data(), a.size(), m, out.data());
-  simd::SubModVec(out.data(), b.data(), b.size(), m);
-  return out;
-}
-
-std::vector<uint64_t> ReduceVector(const std::vector<int64_t>& v, uint64_t m) {
-  std::vector<uint64_t> out(v.size());
-  // The wrap kernel computes ModReduce per element (the overflow count it
-  // also produces is the codec's concern, not this helper's).
-  simd::WrapCenteredInto(v.data(), v.size(), m, out.data());
-  return out;
 }
 
 std::vector<int64_t> LiftVector(const std::vector<uint64_t>& v, uint64_t m) {

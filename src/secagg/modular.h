@@ -29,20 +29,6 @@ uint64_t ModReduce(int64_t value, uint64_t m);
 /// positive representative +(m-1)/2.
 int64_t CenterLift(uint64_t value, uint64_t m);
 
-/// Element-wise (a + b) mod m. Vectors must have equal length. Entries need
-/// not be pre-reduced; the result is exact for any m >= 2.
-StatusOr<std::vector<uint64_t>> AddMod(const std::vector<uint64_t>& a,
-                                       const std::vector<uint64_t>& b,
-                                       uint64_t m);
-
-/// Element-wise (a - b) mod m.
-StatusOr<std::vector<uint64_t>> SubMod(const std::vector<uint64_t>& a,
-                                       const std::vector<uint64_t>& b,
-                                       uint64_t m);
-
-/// Reduces a signed vector into Z_m element-wise.
-std::vector<uint64_t> ReduceVector(const std::vector<int64_t>& v, uint64_t m);
-
 /// Center-lifts a Z_m vector element-wise.
 std::vector<int64_t> LiftVector(const std::vector<uint64_t>& v, uint64_t m);
 

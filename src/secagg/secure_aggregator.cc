@@ -11,45 +11,6 @@ namespace smm::secagg {
 
 namespace {
 
-/// The fallback stream behind the default SecureAggregator::Open: buffers
-/// every absorbed input and delegates to AggregateParallel at Finalize.
-/// Correct for any aggregator, but O(n·dim) resident — the bounded-memory
-/// implementations live with their aggregators below.
-class BufferingStream final : public StreamingAggregator {
- public:
-  BufferingStream(SecureAggregator& aggregator, size_t dim, uint64_t m,
-                  ThreadPool* pool)
-      : aggregator_(aggregator), dim_(dim), m_(m), pool_(pool) {}
-
-  size_t dim() const override { return dim_; }
-  uint64_t modulus() const override { return m_; }
-  size_t absorbed() const override { return buffered_.size(); }
-
-  Status Absorb(int participant_id, ConstSpan<uint64_t> input) override {
-    (void)participant_id;
-    if (finalized_) return FailedPreconditionError("stream already finalized");
-    if (input.size() != dim_) {
-      return InvalidArgumentError("input dimension mismatch");
-    }
-    buffered_.emplace_back(input.begin(), input.end());
-    return OkStatus();
-  }
-
-  StatusOr<std::vector<uint64_t>> Finalize() override {
-    if (finalized_) return FailedPreconditionError("stream already finalized");
-    finalized_ = true;
-    return aggregator_.AggregateParallel(buffered_, m_, pool_);
-  }
-
- private:
-  SecureAggregator& aggregator_;
-  size_t dim_;
-  uint64_t m_;
-  ThreadPool* pool_;
-  std::vector<std::vector<uint64_t>> buffered_;
-  bool finalized_ = false;
-};
-
 Status ValidateStreamParams(size_t dim, uint64_t m) {
   if (dim == 0) return InvalidArgumentError("dimension must be >= 1");
   if (m < 2) return InvalidArgumentError("modulus must be >= 2");
@@ -68,13 +29,6 @@ StatusOr<std::vector<uint64_t>> SecureAggregator::PrepareContribution(
   std::vector<uint64_t> out(input.size());
   simd::ModReduceInto(input.data(), input.size(), m, out.data());
   return out;
-}
-
-StatusOr<std::unique_ptr<StreamingAggregator>> SecureAggregator::Open(
-    size_t dim, uint64_t m, ThreadPool* pool) {
-  SMM_RETURN_IF_ERROR(ValidateStreamParams(dim, m));
-  return std::unique_ptr<StreamingAggregator>(
-      new BufferingStream(*this, dim, m, pool));
 }
 
 StatusOr<std::unique_ptr<SecureAggregator>>
@@ -114,49 +68,21 @@ CreateShardAggregators(const SecureAggregator& base, size_t shard_count,
   return aggregators;
 }
 
-StatusOr<std::vector<uint64_t>> IdealAggregator::Aggregate(
-    const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) {
-  return AggregateParallel(inputs, m, nullptr);
-}
-
-StatusOr<std::vector<uint64_t>> IdealAggregator::AggregateParallel(
-    const std::vector<std::vector<uint64_t>>& inputs, uint64_t m,
-    ThreadPool* pool) {
-  if (inputs.empty()) return InvalidArgumentError("no inputs to aggregate");
-  if (m < 2) return InvalidArgumentError("modulus must be >= 2");
-  const size_t dim = inputs[0].size();
-  for (const auto& input : inputs) {
-    if (input.size() != dim) {
-      return InvalidArgumentError("input dimension mismatch");
-    }
-  }
-  std::vector<uint64_t> sum(dim, 0);
-  SMM_RETURN_IF_ERROR(ShardedModularAccumulate(
-      pool, inputs.size(), m, sum,
-      [&](size_t begin, size_t end, std::vector<uint64_t>& acc) {
-        for (size_t i = begin; i < end; ++i) {
-          simd::AddModVec(acc.data(), inputs[i].data(), dim, m);
-        }
-        return OkStatus();
-      }));
-  return sum;
-}
-
 StatusOr<std::unique_ptr<StreamingAggregator>> IdealAggregator::Open(
     size_t dim, uint64_t m, ThreadPool* pool) {
   SMM_RETURN_IF_ERROR(ValidateStreamParams(dim, m));
   return std::unique_ptr<StreamingAggregator>(
-      new RunningSumStream(dim, m, pool));
+      new StreamingAggregator(dim, m, pool));
 }
 
 /// The masked protocol's server-side stream: a running sum of masked
 /// inputs plus an O(n)-bit record of who contributed. Dropout recovery is
 /// deferred to Finalize, where everyone not absorbed counts as dropped.
-class MaskedAggregator::Stream final : public RunningSumStream {
+class MaskedAggregator::Stream final : public StreamingAggregator {
  public:
   Stream(const MaskedAggregator& parent, size_t dim, uint64_t m,
          ThreadPool* pool)
-      : RunningSumStream(dim, m, pool),
+      : StreamingAggregator(dim, m, pool),
         parent_(parent),
         seen_(static_cast<size_t>(parent.options_.num_participants), false) {}
 
@@ -363,97 +289,10 @@ Status MaskedAggregator::RecoverDroppedMasks(const std::vector<int>& survivors,
                                   recover_range);
 }
 
-StatusOr<std::vector<uint64_t>> MaskedAggregator::UnmaskSum(
-    const std::vector<std::vector<uint64_t>>& masked_inputs,
-    const std::vector<int>& survivors, size_t dim, uint64_t m,
-    ThreadPool* pool) const {
-  if (dim == 0) return InvalidArgumentError("dimension must be >= 1");
-  if (m < 2) return InvalidArgumentError("modulus must be >= 2");
-  if (masked_inputs.size() != survivors.size()) {
-    return InvalidArgumentError("one masked input per survivor required");
-  }
-  if (static_cast<int>(survivors.size()) < options_.threshold) {
-    return FailedPreconditionError(
-        "fewer survivors than the Shamir threshold; cannot unmask");
-  }
-  std::unordered_set<int> survivor_set(survivors.begin(), survivors.end());
-  if (survivor_set.size() != survivors.size()) {
-    return InvalidArgumentError("duplicate survivor index");
-  }
-  for (const auto& input : masked_inputs) {
-    if (input.size() != dim) {
-      return InvalidArgumentError("masked input dimension mismatch");
-    }
-  }
-  // Stage 1: element-wise sum of the masked inputs, sharded over survivors
-  // when a pool is given.
-  std::vector<uint64_t> sum(dim, 0);
-  SMM_RETURN_IF_ERROR(ShardedModularAccumulate(
-      pool, masked_inputs.size(), m, sum,
-      [&](size_t begin, size_t end, std::vector<uint64_t>& acc) {
-        for (size_t i = begin; i < end; ++i) {
-          simd::AddModVec(acc.data(), masked_inputs[i].data(), dim, m);
-        }
-        return OkStatus();
-      }));
-
-  // Stage 2: recover the masks that involve dropped participants.
-  SMM_RETURN_IF_ERROR(RecoverDroppedMasks(survivors, m, pool, sum));
-  return sum;
-}
-
 StatusOr<std::vector<uint64_t>> MaskedAggregator::PrepareContribution(
     int participant, const std::vector<uint64_t>& input, uint64_t m,
     ThreadPool* pool) const {
   return MaskInput(participant, input, m, pool);
-}
-
-StatusOr<std::vector<uint64_t>> MaskedAggregator::Aggregate(
-    const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) {
-  return AggregateParallel(inputs, m, nullptr);
-}
-
-StatusOr<std::vector<uint64_t>> MaskedAggregator::AggregateParallel(
-    const std::vector<std::vector<uint64_t>>& inputs, uint64_t m,
-    ThreadPool* pool) {
-  const int n = options_.num_participants;
-  if (static_cast<int>(inputs.size()) != n) {
-    return InvalidArgumentError(
-        "Aggregate expects one input per participant");
-  }
-  if (inputs.empty()) return InvalidArgumentError("no inputs");
-  const size_t dim = inputs[0].size();
-  std::vector<std::vector<uint64_t>> masked(inputs.size());
-  std::vector<int> survivors(inputs.size());
-  for (int i = 0; i < n; ++i) survivors[static_cast<size_t>(i)] = i;
-  if (pool == nullptr || pool->num_threads() == 1 || n < 2) {
-    for (int i = 0; i < n; ++i) {
-      SMM_ASSIGN_OR_RETURN(masked[static_cast<size_t>(i)],
-                           MaskInput(i, inputs[static_cast<size_t>(i)], m));
-    }
-  } else {
-    // Each participant's masking is independent (it reads only the shared
-    // seed table), so the participant range shards cleanly; the per-pair
-    // PRG streams keep every shard's masks identical to the sequential run.
-    std::vector<Status> chunk_status(
-        static_cast<size_t>(pool->num_threads()));
-    pool->ParallelFor(inputs.size(), [&](int chunk, size_t begin,
-                                         size_t end) {
-      Status& status = chunk_status[static_cast<size_t>(chunk)];
-      for (size_t i = begin; i < end; ++i) {
-        auto mi = MaskInput(static_cast<int>(i), inputs[i], m);
-        if (!mi.ok()) {
-          status = mi.status();
-          return;
-        }
-        masked[i] = std::move(*mi);
-      }
-    });
-    for (const Status& status : chunk_status) {
-      if (!status.ok()) return status;
-    }
-  }
-  return UnmaskSum(masked, survivors, dim, m, pool);
 }
 
 StatusOr<std::unique_ptr<StreamingAggregator>> MaskedAggregator::Open(

@@ -17,27 +17,14 @@ namespace smm::secagg {
 /// given per-participant vectors in Z_m^d, reveals only their element-wise
 /// sum mod m. The DP analysis of the paper treats this as an ideal
 /// functionality; both implementations below compute the identical sum, so
-/// the mechanisms are oblivious to which one runs underneath. All sums are
-/// exact for any modulus in [2, 2^64), including m > 2^63 where naive
-/// accumulation would wrap uint64_t (see smm::AddMod).
+/// the mechanisms are oblivious to which one runs underneath. Every round
+/// reaches the sum through one bounded-memory stream (Open -> Absorb /
+/// AbsorbTile -> Finalize). All sums are exact for any modulus in
+/// [2, 2^64), including m > 2^63 where naive accumulation would wrap
+/// uint64_t (see smm::AddMod).
 class SecureAggregator {
  public:
   virtual ~SecureAggregator() = default;
-
-  /// Sums `inputs` (all of equal length) element-wise modulo m.
-  virtual StatusOr<std::vector<uint64_t>> Aggregate(
-      const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) = 0;
-
-  /// Like Aggregate, but may shard the accumulation across `pool` (nullptr
-  /// means sequential). Addition in Z_m commutes, so implementations must —
-  /// and the provided ones do — return bit-identical sums for any thread
-  /// count. The default ignores the pool.
-  virtual StatusOr<std::vector<uint64_t>> AggregateParallel(
-      const std::vector<std::vector<uint64_t>>& inputs, uint64_t m,
-      ThreadPool* pool) {
-    (void)pool;
-    return Aggregate(inputs, m);
-  }
 
   /// Client-side preparation of participant `participant`'s contribution
   /// before it goes on the wire: returns the vector the server should
@@ -55,16 +42,12 @@ class SecureAggregator {
 
   /// Opens a streaming aggregation session over Z_m^dim: contributions
   /// arrive one participant (or tile) at a time via Absorb/AbsorbTile and
-  /// the sum is released by Finalize, bit-identical to the batch path above
-  /// for any thread count and absorb order. Requires dim >= 1 and m >= 2.
-  ///
-  /// Both provided aggregators override this with bounded-memory streams
-  /// (O(threads·dim) resident, independent of the participant count); the
-  /// default adapter buffers every absorbed input and delegates to
-  /// AggregateParallel at Finalize — correct for any implementation, but
-  /// O(n·dim) memory. The aggregator must outlive the returned stream.
+  /// the sum is released by Finalize, bit-identical for any thread count
+  /// and absorb order. The stream is bounded-memory (O(threads·dim)
+  /// resident, independent of the participant count). Requires dim >= 1 and
+  /// m >= 2. The aggregator must outlive the returned stream.
   virtual StatusOr<std::unique_ptr<StreamingAggregator>> Open(
-      size_t dim, uint64_t m, ThreadPool* pool = nullptr);
+      size_t dim, uint64_t m, ThreadPool* pool = nullptr) = 0;
 
   /// Derives the aggregator instance that serves shard `shard_index` of a
   /// `shard_count`-way dimension-sharded round (ShardPlan's contiguous
@@ -105,20 +88,9 @@ CreateShardAggregators(const SecureAggregator& base, size_t shard_count,
 /// harnesses for speed (the paper likewise runs SecAgg "as a black box").
 class IdealAggregator final : public SecureAggregator {
  public:
-  StatusOr<std::vector<uint64_t>> Aggregate(
-      const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) override;
-
-  /// Shards the participant range across the pool; each thread accumulates
-  /// its shard into a private partial sum, and the partials are reduced
-  /// mod m at the end (in shard order, though modular addition makes the
-  /// order immaterial).
-  StatusOr<std::vector<uint64_t>> AggregateParallel(
-      const std::vector<std::vector<uint64_t>>& inputs, uint64_t m,
-      ThreadPool* pool) override;
-
-  /// Bounded-memory stream: one O(dim) running sum (sharded tile absorbs
-  /// keep one O(dim) partial per thread, reusing ShardedModularAccumulate).
-  /// The stream is self-contained; it does not reference the aggregator.
+  /// The plain StreamingAggregator: one O(dim) running sum (sharded tile
+  /// absorbs keep one O(dim) partial per thread). The stream is
+  /// self-contained; it does not reference the aggregator.
   StatusOr<std::unique_ptr<StreamingAggregator>> Open(
       size_t dim, uint64_t m, ThreadPool* pool = nullptr) override;
 };
@@ -160,19 +132,6 @@ class MaskedAggregator final : public SecureAggregator {
                                             uint64_t m,
                                             ThreadPool* pool = nullptr) const;
 
-  /// Server-side: sums masked inputs of the `survivors` (indices into the
-  /// participant range) and removes the masks that involve dropped
-  /// participants by Shamir-reconstructing their pair seeds from the
-  /// survivors' shares. Requires dim >= 1, m >= 2, and |survivors| >=
-  /// threshold. When `pool` is given, both the masked-input sum (sharded
-  /// over survivors) and the dropout recovery (sharded over (survivor,
-  /// dropped) pairs) run on the pool, bit-identically to the sequential
-  /// path.
-  StatusOr<std::vector<uint64_t>> UnmaskSum(
-      const std::vector<std::vector<uint64_t>>& masked_inputs,
-      const std::vector<int>& survivors, size_t dim, uint64_t m,
-      ThreadPool* pool = nullptr) const;
-
   /// Client-side wire preparation: pairwise masking via MaskInput, so the
   /// transported payload is exactly the masked input Bonawitz-style SecAgg
   /// puts on the network.
@@ -180,25 +139,14 @@ class MaskedAggregator final : public SecureAggregator {
       int participant, const std::vector<uint64_t>& input, uint64_t m,
       ThreadPool* pool = nullptr) const override;
 
-  /// SecureAggregator interface: all participants survive.
-  StatusOr<std::vector<uint64_t>> Aggregate(
-      const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) override;
-
-  /// Parallel full round: masking is sharded across participants (each
-  /// participant's MaskInput is independent) and the unmask sum across
-  /// survivors, so the O(n^2 d) mask expansion — the dominant cost — scales
-  /// with the thread count while staying bit-identical to Aggregate.
-  StatusOr<std::vector<uint64_t>> AggregateParallel(
-      const std::vector<std::vector<uint64_t>>& inputs, uint64_t m,
-      ThreadPool* pool) override;
-
   /// Server-side stream: absorbs *masked* inputs incrementally into an
   /// O(dim) running sum (each participant at most once) and defers dropout
   /// recovery to Finalize — participants absent at Finalize are treated as
-  /// dropped and their leftover masks removed via Shamir recovery, exactly
-  /// as UnmaskSum would. Bit-identical to UnmaskSum over the same survivor
-  /// set for any absorb order and thread count. The aggregator must outlive
-  /// the stream.
+  /// dropped, and the masks they share with survivors are removed by
+  /// Shamir-reconstructing those pair seeds from the survivors' shares.
+  /// Finalize fails with FailedPrecondition below `threshold` survivors.
+  /// The result is the survivors' plain sum, bit-identical for any absorb
+  /// order and thread count. The aggregator must outlive the stream.
   StatusOr<std::unique_ptr<StreamingAggregator>> Open(
       size_t dim, uint64_t m, ThreadPool* pool = nullptr) override;
 
@@ -228,7 +176,7 @@ class MaskedAggregator final : public SecureAggregator {
   /// terms of every (survivor, dropped) pair by Shamir-reconstructing the
   /// pair seed from the first `threshold` survivors' shares, with one
   /// Lagrange basis for all pairs. Pairs shard across the pool; requires
-  /// |survivors| >= threshold (checked by the callers).
+  /// |survivors| >= threshold (checked by the stream's Finalize).
   Status RecoverDroppedMasks(const std::vector<int>& survivors, uint64_t m,
                              ThreadPool* pool,
                              std::vector<uint64_t>& sum) const;

@@ -43,8 +43,8 @@ namespace smm::secagg {
 /// are rejected on receive.
 ///
 /// Determinism: contributions are folded in with exact arithmetic mod m, so
-/// Finalize is bit-identical to the batch Aggregate/AggregateParallel path
-/// for any thread count and any frame arrival order.
+/// Finalize returns the same bits for any thread count, tile size and
+/// frame arrival order.
 ///
 /// Not thread-safe: one server loop drives a session (absorption itself may
 /// shard across the pool the session was opened with). The aggregator must

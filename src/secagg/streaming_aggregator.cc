@@ -5,46 +5,36 @@
 
 namespace smm::secagg {
 
-Status StreamingAggregator::AbsorbTile(
-    const std::vector<int>& participant_ids,
-    const std::vector<std::vector<uint64_t>>& inputs) {
-  if (participant_ids.size() != inputs.size()) {
-    return InvalidArgumentError("one participant id per tile input required");
-  }
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    SMM_RETURN_IF_ERROR(Absorb(participant_ids[i], inputs[i]));
-  }
-  return OkStatus();
-}
-
-RunningSumStream::RunningSumStream(size_t dim, uint64_t m, ThreadPool* pool)
+StreamingAggregator::StreamingAggregator(size_t dim, uint64_t m,
+                                         ThreadPool* pool)
     : dim_(dim), m_(m), pool_(pool), sum_(dim, 0) {}
 
-Status RunningSumStream::CheckOpen() const {
+Status StreamingAggregator::CheckOpen() const {
   if (finalized_) {
     return FailedPreconditionError("stream already finalized");
   }
   return OkStatus();
 }
 
-Status RunningSumStream::AdmitParticipant(int participant_id) {
+Status StreamingAggregator::AdmitParticipant(int participant_id) {
   (void)participant_id;
   return OkStatus();
 }
 
-Status RunningSumStream::FinalizeInto(std::vector<uint64_t>& sum) {
+Status StreamingAggregator::FinalizeInto(std::vector<uint64_t>& sum) {
   (void)sum;
   return OkStatus();
 }
 
-Status RunningSumStream::AdmitTile(const std::vector<int>& participant_ids) {
+Status StreamingAggregator::AdmitTile(const std::vector<int>& participant_ids) {
   for (int id : participant_ids) {
     SMM_RETURN_IF_ERROR(AdmitParticipant(id));
   }
   return OkStatus();
 }
 
-Status RunningSumStream::Absorb(int participant_id, ConstSpan<uint64_t> input) {
+Status StreamingAggregator::Absorb(int participant_id,
+                                   ConstSpan<uint64_t> input) {
   SMM_RETURN_IF_ERROR(CheckOpen());
   if (input.size() != dim_) {
     return InvalidArgumentError("input dimension mismatch");
@@ -68,7 +58,7 @@ Status RunningSumStream::Absorb(int participant_id, ConstSpan<uint64_t> input) {
   return OkStatus();
 }
 
-Status RunningSumStream::AbsorbTile(
+Status StreamingAggregator::AbsorbTile(
     const std::vector<int>& participant_ids,
     const std::vector<std::vector<uint64_t>>& inputs) {
   SMM_RETURN_IF_ERROR(CheckOpen());
@@ -96,7 +86,7 @@ Status RunningSumStream::AbsorbTile(
   return OkStatus();
 }
 
-StatusOr<std::vector<uint64_t>> RunningSumStream::Finalize() {
+StatusOr<std::vector<uint64_t>> StreamingAggregator::Finalize() {
   SMM_RETURN_IF_ERROR(CheckOpen());
   if (absorbed_ == 0) {
     return FailedPreconditionError("no contributions absorbed");

@@ -20,77 +20,58 @@ namespace smm::secagg {
 ///
 ///   Open(dim, m) -> Absorb(participant_id, span)* -> Finalize()
 ///
-/// Memory model: the provided implementations hold one O(dim) running sum
-/// (plus O(threads·dim) transient partials while a tile is absorbed and an
-/// O(num_participants)-bit survivor set for the masked protocol), fully
-/// independent of how many participants are absorbed.
+/// Memory model: one O(dim) running sum updated through overflow-safe
+/// AddModVec; a tile absorb shards across the pool via
+/// ShardedModularAccumulate with O(threads·dim) transient partials. The
+/// masked protocol adds an O(num_participants)-bit survivor set. None of it
+/// grows with the number of participants absorbed.
 ///
 /// Determinism: all accumulation is exact integer arithmetic mod m, so
-/// Finalize() is bit-identical to the batch Aggregate/AggregateParallel
-/// path for any thread count, any absorb order, and any tiling.
+/// Finalize() returns the same bits for any thread count, any absorb
+/// order, and any tiling.
+///
+/// IdealAggregator::Open returns this class itself (the ideal sum has no
+/// notion of identity); the masked protocol's stream subclasses it and
+/// overrides the three protected hooks.
 ///
 /// Streams are single-session: after Finalize() every further call fails
 /// with FailedPrecondition. Not thread-safe — one caller drives a stream
 /// (internally it may shard work across the pool it was opened with).
 class StreamingAggregator {
  public:
+  /// Requires dim >= 1 and m >= 2 (validated by the Open factories).
+  StreamingAggregator(size_t dim, uint64_t m, ThreadPool* pool);
   virtual ~StreamingAggregator() = default;
 
   StreamingAggregator(const StreamingAggregator&) = delete;
   StreamingAggregator& operator=(const StreamingAggregator&) = delete;
 
-  virtual size_t dim() const = 0;
-  virtual uint64_t modulus() const = 0;
+  size_t dim() const { return dim_; }
+  uint64_t modulus() const { return m_; }
   /// Participants absorbed so far.
-  virtual size_t absorbed() const = 0;
+  size_t absorbed() const { return absorbed_; }
 
   /// Absorbs one participant's contribution (`input.size()` must equal
   /// dim()). Entries need not be pre-reduced; each is reduced once before
-  /// the overflow-safe accumulation. Implementations define what
+  /// the overflow-safe accumulation. The protocol defines what
   /// `participant_id` means (the masked protocol requires a valid,
   /// not-yet-absorbed index; the ideal sum ignores it). ConstSpan is
   /// implicitly constructible from std::vector<uint64_t>, so vector-based
   /// callers pass their buffers unchanged.
-  virtual Status Absorb(int participant_id, ConstSpan<uint64_t> input) = 0;
+  Status Absorb(int participant_id, ConstSpan<uint64_t> input);
 
   /// Absorbs a tile of participants (inputs[i] belongs to
   /// participant_ids[i]), equivalent to absorbing them one by one in order
-  /// but letting implementations shard the tile across the pool. The
-  /// default loops Absorb.
-  virtual Status AbsorbTile(const std::vector<int>& participant_ids,
-                            const std::vector<std::vector<uint64_t>>& inputs);
+  /// but sharded across the pool. A rejected tile leaves the stream as it
+  /// was.
+  Status AbsorbTile(const std::vector<int>& participant_ids,
+                    const std::vector<std::vector<uint64_t>>& inputs);
 
   /// Completes the session and returns the element-wise sum mod m of every
   /// absorbed contribution (running any deferred protocol work first, e.g.
   /// dropout recovery for the masked protocol). Fails if nothing was
   /// absorbed. The stream is consumed.
-  virtual StatusOr<std::vector<uint64_t>> Finalize() = 0;
-
- protected:
-  StreamingAggregator() = default;
-};
-
-/// The bounded-memory running-sum core behind both provided aggregators:
-/// one O(dim) accumulator updated through overflow-safe AddMod, with tiles
-/// sharded across the pool via ShardedModularAccumulate (transient
-/// O(threads·dim) partials). Used directly by IdealAggregator::Open;
-/// protocol-specific streams (e.g. the masked protocol's) subclass it and
-/// override the two hooks.
-class RunningSumStream : public StreamingAggregator {
- public:
-  /// Requires dim >= 1 and m >= 2 (validated by the Open factories).
-  RunningSumStream(size_t dim, uint64_t m, ThreadPool* pool);
-
-  size_t dim() const override { return dim_; }
-  uint64_t modulus() const override { return m_; }
-  size_t absorbed() const override { return absorbed_; }
-
-  Status Absorb(int participant_id, ConstSpan<uint64_t> input) override;
-
-  Status AbsorbTile(const std::vector<int>& participant_ids,
-                    const std::vector<std::vector<uint64_t>>& inputs) override;
-
-  StatusOr<std::vector<uint64_t>> Finalize() override;
+  StatusOr<std::vector<uint64_t>> Finalize();
 
  protected:
   /// Admission hook, called once per participant before its data is folded

@@ -1,11 +1,12 @@
 // Property tests for the batched parallel encode pipeline: for every
-// mechanism, the overridden EncodeBatch must be bit-identical to the base
-// EncodeParticipant fallback, and the parallel path must be bit-identical
-// to the sequential path for 1, 2, and 8 threads — down to the decoded sum
-// and the overflow accounting.
+// mechanism, the fused EncodeBatch must be bit-identical to calling
+// EncodeParticipant once per participant, and the parallel path must be
+// bit-identical to the sequential path for 1, 2, and 8 threads — down to
+// the decoded sum and the overflow accounting.
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,30 +126,30 @@ EncodeRun RunEncode(DistributedSumMechanism& mechanism,
   return run;
 }
 
-TEST(EncodeBatchDeterminismTest, OverrideMatchesFallbackBitForBit) {
+TEST(EncodeBatchDeterminismTest, BatchMatchesEncodeParticipantBitForBit) {
   const auto inputs = MakeInputs();
   for (auto mode : {sampling::SamplerMode::kApproximate,
                     sampling::SamplerMode::kExact}) {
     for (auto& named : MakeAllMechanisms(mode)) {
-      // Fallback: the base-class EncodeBatch, which loops EncodeParticipant.
+      // Reference: one EncodeParticipant call per participant, each on its
+      // own stream.
       RandomGenerator rng(kStreamSeed);
       std::vector<RandomGenerator> streams =
           MakeParticipantStreams(rng, inputs.size());
-      std::vector<std::vector<uint64_t>> fallback(inputs.size());
-      EncodeWorkspace workspace;
-      ASSERT_TRUE(named.mechanism
-                      ->DistributedSumMechanism::EncodeBatch(
-                          inputs, 0, inputs.size(), streams.data(), workspace,
-                          &fallback)
-                      .ok())
-          << named.name;
-      const int64_t fallback_overflows = named.mechanism->overflow_count();
+      std::vector<std::vector<uint64_t>> reference(inputs.size());
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        auto encoded = named.mechanism->EncodeParticipant(inputs[i],
+                                                          streams[i]);
+        ASSERT_TRUE(encoded.ok()) << named.name;
+        reference[i] = std::move(*encoded);
+      }
+      const int64_t reference_overflows = named.mechanism->overflow_count();
 
       named.mechanism->ResetOverflowCount();
       const EncodeRun batched =
           RunEncode(*named.mechanism, inputs, /*pool=*/nullptr);
-      EXPECT_EQ(fallback, batched.encoded) << named.name;
-      EXPECT_EQ(fallback_overflows, batched.overflows) << named.name;
+      EXPECT_EQ(reference, batched.encoded) << named.name;
+      EXPECT_EQ(reference_overflows, batched.overflows) << named.name;
     }
   }
 }
@@ -226,25 +227,6 @@ TEST(EncodeBatchDeterminismTest, ScalarDispatchMatchesSimdAtEveryThreadCount) {
     }
   }
   simd::SetDispatchModeForTest(simd::DispatchMode::kAuto);
-}
-
-TEST(EncodeBatchDeterminismTest, ShardedAggregationMatchesSequential) {
-  RandomGenerator rng(5);
-  constexpr uint64_t kModulus = 1 << 16;
-  std::vector<std::vector<uint64_t>> inputs(
-      37, std::vector<uint64_t>(kDim));
-  for (auto& row : inputs) {
-    for (auto& v : row) v = rng.UniformUint64(kModulus);
-  }
-  secagg::IdealAggregator aggregator;
-  const std::vector<uint64_t> sequential =
-      aggregator.Aggregate(inputs, kModulus).value();
-  for (int threads : {2, 5, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(sequential,
-              aggregator.AggregateParallel(inputs, kModulus, &pool).value())
-        << threads << " threads";
-  }
 }
 
 }  // namespace

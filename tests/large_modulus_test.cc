@@ -67,22 +67,6 @@ TEST(LargeModulusTest, ScalarAddSubModMatch128BitReference) {
   }
 }
 
-TEST(LargeModulusTest, VectorAddSubModAreExact) {
-  const uint64_t m = kLargePrime;
-  const std::vector<uint64_t> a = {m - 1, m - 2, 0, m / 2, m / 2 + 1};
-  const std::vector<uint64_t> b = {m - 1, 5, m - 1, m / 2, m / 2 + 3};
-  auto add = AddMod(a, b, m);
-  ASSERT_TRUE(add.ok());
-  auto sub = SubMod(a, b, m);
-  ASSERT_TRUE(sub.ok());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ((*add)[i],
-              static_cast<uint64_t>((static_cast<uint128>(a[i]) + b[i]) % m));
-    EXPECT_EQ((*sub)[i], static_cast<uint64_t>(
-                             (static_cast<uint128>(a[i]) + m - b[i]) % m));
-  }
-}
-
 TEST(LargeModulusTest, ModReduceAndCenterLiftRoundTrip) {
   const uint64_t m = kLargePrime;
   // ModReduce must fold arbitrary signed values into [0, m) without the
@@ -153,18 +137,22 @@ TEST(LargeModulusTest, CenterLiftMatches128BitReferenceAtBothParities) {
 }
 
 TEST(LargeModulusTest, IdealAggregatorIsExact) {
+  // One tile of every participant: the sharded absorb whose per-thread
+  // partials are reduced mod m at the end.
   const uint64_t m = kLargePrime;
   const auto inputs = RandomInputs(23, 17, m, 6);
   const auto expected = ExactSum128(inputs, m);
+  std::vector<int> ids(inputs.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
   IdealAggregator agg;
-  auto sequential = agg.Aggregate(inputs, m);
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_EQ(*sequential, expected);
-  for (int threads : {2, 8}) {
+  for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    auto parallel = agg.AggregateParallel(inputs, m, &pool);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(*parallel, expected) << threads << " threads";
+    auto stream = agg.Open(inputs[0].size(), m, &pool);
+    ASSERT_TRUE(stream.ok());
+    ASSERT_TRUE((*stream)->AbsorbTile(ids, inputs).ok());
+    auto sum = (*stream)->Finalize();
+    ASSERT_TRUE(sum.ok());
+    EXPECT_EQ(*sum, expected) << threads << " threads";
   }
 }
 
@@ -180,24 +168,25 @@ TEST(LargeModulusTest, MaskedAggregatorIsExact) {
   const size_t dim = 19;
   const auto inputs = RandomInputs(n, dim, m, 8);
   // Full participation: every pairwise mask must cancel exactly even though
-  // individual masked coordinates live right below 2^64.
-  auto full = (*agg)->Aggregate(inputs, m);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(*full, ExactSum128(inputs, m));
-
-  // Dropout recovery at the same modulus.
-  const std::vector<int> survivors = {0, 2, 3, 5, 6};
-  std::vector<std::vector<uint64_t>> masked;
-  std::vector<std::vector<uint64_t>> survivor_inputs;
-  for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-    survivor_inputs.push_back(inputs[static_cast<size_t>(i)]);
+  // individual masked coordinates live right below 2^64. With dropouts, the
+  // recovered masks must leave exactly the survivors' sum.
+  const std::vector<std::vector<int>> survivor_sets = {{0, 1, 2, 3, 4, 5, 6},
+                                                       {0, 2, 3, 5, 6}};
+  for (const auto& survivors : survivor_sets) {
+    auto stream = (*agg)->Open(dim, m);
+    ASSERT_TRUE(stream.ok());
+    std::vector<std::vector<uint64_t>> survivor_inputs;
+    for (int i : survivors) {
+      auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
+      ASSERT_TRUE(mi.ok());
+      ASSERT_TRUE((*stream)->Absorb(i, *mi).ok());
+      survivor_inputs.push_back(inputs[static_cast<size_t>(i)]);
+    }
+    auto sum = (*stream)->Finalize();
+    ASSERT_TRUE(sum.ok());
+    EXPECT_EQ(*sum, ExactSum128(survivor_inputs, m))
+        << survivors.size() << " survivors";
   }
-  auto recovered = (*agg)->UnmaskSum(masked, survivors, dim, m);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(*recovered, ExactSum128(survivor_inputs, m));
 }
 
 TEST(LargeModulusTest, StreamingAggregationIsExact) {

@@ -1,7 +1,8 @@
 // Thread-count invariance of the parallel masked-aggregation paths: mask
-// expansion sharded over pairs, unmasking (with dropouts) sharded over
-// survivors and recovery pairs, and the full AggregateParallel round must
-// all be bit-identical to the sequential path for every thread count.
+// expansion sharded over pairs must be bit-identical to the sequential
+// path, and the server stream (tiles sharded over survivors, dropout
+// recovery over recovery pairs) must equal a test-local exact sum of the
+// unmasked survivors' inputs for every thread count.
 //
 // SMM_THREADS (when set to a positive integer) adds an extra thread count to
 // every invariance sweep, so the sanitizer CI jobs exercise the same tests
@@ -85,7 +86,24 @@ TEST(MaskedAggregatorParallelTest, MaskInputIsThreadCountInvariant) {
   }
 }
 
-TEST(MaskedAggregatorParallelTest, UnmaskSumWithDropoutsIsThreadCountInvariant) {
+/// Masks every survivor's input on `pool` and absorbs the masked tile into
+/// a stream opened on `pool`; everyone else counts as dropped at Finalize.
+StatusOr<std::vector<uint64_t>> MaskedStreamSum(
+    MaskedAggregator& agg,
+    const std::vector<std::vector<uint64_t>>& inputs,
+    const std::vector<int>& survivors, uint64_t m, ThreadPool* pool) {
+  std::vector<std::vector<uint64_t>> masked;
+  for (int i : survivors) {
+    SMM_ASSIGN_OR_RETURN(
+        auto mi, agg.MaskInput(i, inputs[static_cast<size_t>(i)], m, pool));
+    masked.push_back(std::move(mi));
+  }
+  SMM_ASSIGN_OR_RETURN(auto stream, agg.Open(inputs[0].size(), m, pool));
+  SMM_RETURN_IF_ERROR(stream->AbsorbTile(survivors, masked));
+  return stream->Finalize();
+}
+
+TEST(MaskedAggregatorParallelTest, StreamWithDropoutsMatchesExactSum) {
   const int n = 9;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 4));
   ASSERT_TRUE(agg.ok());
@@ -95,46 +113,42 @@ TEST(MaskedAggregatorParallelTest, UnmaskSumWithDropoutsIsThreadCountInvariant) 
 
   // Participants 1, 3, 5, 7 drop out after masking is configured.
   const std::vector<int> survivors = {0, 2, 4, 6, 8};
-  std::vector<std::vector<uint64_t>> masked;
+  std::vector<std::vector<uint64_t>> survivor_inputs;
   for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
+    survivor_inputs.push_back(inputs[static_cast<size_t>(i)]);
   }
-  auto sequential = (*agg)->UnmaskSum(masked, survivors, dim, m);
+  const auto expected = ExactSum(survivor_inputs, m);
+
+  auto sequential = MaskedStreamSum(**agg, inputs, survivors, m, nullptr);
   ASSERT_TRUE(sequential.ok());
-
-  std::vector<uint64_t> expected(dim, 0);
-  for (int i : survivors) {
-    for (size_t j = 0; j < dim; ++j) {
-      expected[j] = (expected[j] + inputs[static_cast<size_t>(i)][j]) % m;
-    }
-  }
   EXPECT_EQ(*sequential, expected);
-
   for (int threads : ThreadCounts()) {
     ThreadPool pool(threads);
-    auto parallel = (*agg)->UnmaskSum(masked, survivors, dim, m, &pool);
+    auto parallel = MaskedStreamSum(**agg, inputs, survivors, m, &pool);
     ASSERT_TRUE(parallel.ok()) << threads << " threads";
-    EXPECT_EQ(*sequential, *parallel) << threads << " threads";
+    EXPECT_EQ(*parallel, expected) << threads << " threads";
   }
 }
 
-TEST(MaskedAggregatorParallelTest, AggregateParallelMatchesAggregate) {
+TEST(MaskedAggregatorParallelTest, StreamFullRoundMatchesExactSum) {
   const int n = 12;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 6));
   ASSERT_TRUE(agg.ok());
   const uint64_t m = 1 << 18;
   const size_t dim = 96;
   const auto inputs = RandomInputs(n, dim, m, 13);
-  auto sequential = (*agg)->Aggregate(inputs, m);
+  std::vector<int> everyone(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) everyone[static_cast<size_t>(i)] = i;
+  const auto expected = ExactSum(inputs, m);
+
+  auto sequential = MaskedStreamSum(**agg, inputs, everyone, m, nullptr);
   ASSERT_TRUE(sequential.ok());
-  EXPECT_EQ(*sequential, ExactSum(inputs, m));
+  EXPECT_EQ(*sequential, expected);
   for (int threads : ThreadCounts()) {
     ThreadPool pool(threads);
-    auto parallel = (*agg)->AggregateParallel(inputs, m, &pool);
+    auto parallel = MaskedStreamSum(**agg, inputs, everyone, m, &pool);
     ASSERT_TRUE(parallel.ok()) << threads << " threads";
-    EXPECT_EQ(*sequential, *parallel) << threads << " threads";
+    EXPECT_EQ(*parallel, expected) << threads << " threads";
   }
 }
 
@@ -144,12 +158,19 @@ TEST(MaskedAggregatorParallelTest, ParallelErrorsStillPropagate) {
   const uint64_t m = 256;
   ThreadPool pool(4);
   // Below the Shamir threshold: must fail identically in parallel mode.
+  auto below = (*agg)->Open(4, m, &pool);
+  ASSERT_TRUE(below.ok());
   std::vector<std::vector<uint64_t>> masked(2, std::vector<uint64_t>(4, 0));
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, {0, 1}, 4, m, &pool).ok());
-  // Dimension mismatch among masked inputs.
+  ASSERT_TRUE((*below)->AbsorbTile({0, 1}, masked).ok());
+  EXPECT_EQ((*below)->Finalize().status().code(),
+            StatusCode::kFailedPrecondition);
+  // Dimension mismatch within a tile.
+  auto ragged_stream = (*agg)->Open(4, m, &pool);
+  ASSERT_TRUE(ragged_stream.ok());
   std::vector<std::vector<uint64_t>> ragged(4, std::vector<uint64_t>(4, 0));
   ragged[2].resize(3);
-  EXPECT_FALSE((*agg)->UnmaskSum(ragged, {0, 1, 2, 3}, 4, m, &pool).ok());
+  EXPECT_FALSE((*ragged_stream)->AbsorbTile({0, 1, 2, 3}, ragged).ok());
+  EXPECT_EQ((*ragged_stream)->absorbed(), 0u);
 }
 
 }  // namespace

@@ -64,25 +64,10 @@ TEST(WrapRoundTripTest, ValuesOutsideRangeWrapIrrecoverably) {
   EXPECT_EQ(CenterLift(ModReduce(-3, 5), 5), 2);
 }
 
-TEST(VectorOpsTest, AddSubMod) {
-  const std::vector<uint64_t> a = {1, 7, 3};
-  const std::vector<uint64_t> b = {2, 5, 6};
-  auto sum = AddMod(a, b, 8);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, (std::vector<uint64_t>{3, 4, 1}));
-  auto diff = SubMod(a, b, 8);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(*diff, (std::vector<uint64_t>{7, 2, 5}));
-}
-
-TEST(VectorOpsTest, LengthMismatchRejected) {
-  EXPECT_FALSE(AddMod({1}, {1, 2}, 8).ok());
-  EXPECT_FALSE(SubMod({1, 2}, {1}, 8).ok());
-}
-
-TEST(VectorOpsTest, ReduceAndLiftVectors) {
+TEST(VectorOpsTest, LiftVectorInvertsModReduce) {
   const std::vector<int64_t> v = {-3, 0, 3, -1};
-  const std::vector<uint64_t> reduced = ReduceVector(v, 8);
+  std::vector<uint64_t> reduced;
+  for (int64_t x : v) reduced.push_back(ModReduce(x, 8));
   EXPECT_EQ(reduced, (std::vector<uint64_t>{5, 0, 3, 7}));
   EXPECT_EQ(LiftVector(reduced, 8), v);
 }

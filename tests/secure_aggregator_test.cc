@@ -28,19 +28,47 @@ std::vector<uint64_t> ExactSum(const std::vector<std::vector<uint64_t>>& in,
   return sum;
 }
 
+/// One streaming round: each participant in `ids` sends its input through
+/// PrepareContribution (plain residues for the ideal sum, masked for
+/// MaskedAggregator) and the stream absorbs it; the rest never arrive and
+/// count as dropped at Finalize.
+StatusOr<std::vector<uint64_t>> StreamSum(
+    SecureAggregator& agg, const std::vector<std::vector<uint64_t>>& inputs,
+    const std::vector<int>& ids, uint64_t m) {
+  SMM_ASSIGN_OR_RETURN(auto stream, agg.Open(inputs[0].size(), m));
+  for (int id : ids) {
+    SMM_ASSIGN_OR_RETURN(
+        auto contribution,
+        agg.PrepareContribution(id, inputs[static_cast<size_t>(id)], m));
+    SMM_RETURN_IF_ERROR(stream->Absorb(id, contribution));
+  }
+  return stream->Finalize();
+}
+
+std::vector<int> AllIds(size_t n) {
+  std::vector<int> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[i] = static_cast<int>(i);
+  return ids;
+}
+
 TEST(IdealAggregatorTest, SumsModM) {
   IdealAggregator agg;
   const auto inputs = RandomInputs(5, 16, 256, 1);
-  auto sum = agg.Aggregate(inputs, 256);
+  auto sum = StreamSum(agg, inputs, AllIds(inputs.size()), 256);
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(*sum, ExactSum(inputs, 256));
 }
 
 TEST(IdealAggregatorTest, RejectsBadInputs) {
   IdealAggregator agg;
-  EXPECT_FALSE(agg.Aggregate({}, 256).ok());
-  EXPECT_FALSE(agg.Aggregate({{1, 2}, {3}}, 256).ok());
-  EXPECT_FALSE(agg.Aggregate({{1}}, 1).ok());
+  EXPECT_FALSE(agg.Open(0, 256).ok());
+  EXPECT_FALSE(agg.Open(2, 1).ok());
+  auto stream = agg.Open(2, 256);
+  ASSERT_TRUE(stream.ok());
+  EXPECT_FALSE((*stream)->Absorb(0, std::vector<uint64_t>{3}).ok());
+  EXPECT_FALSE((*stream)->AbsorbTile({0, 1}, {{1, 2}, {3}}).ok());
+  // Nothing was absorbed, so there is no sum to release.
+  EXPECT_FALSE((*stream)->Finalize().ok());
 }
 
 MaskedAggregator::Options BasicOptions(int n, int threshold) {
@@ -63,7 +91,7 @@ TEST(MaskedAggregatorTest, MatchesIdealSum) {
   ASSERT_TRUE(agg.ok());
   const uint64_t m = 1024;
   const auto inputs = RandomInputs(6, 32, m, 2);
-  auto masked_sum = (*agg)->Aggregate(inputs, m);
+  auto masked_sum = StreamSum(**agg, inputs, AllIds(inputs.size()), m);
   ASSERT_TRUE(masked_sum.ok());
   EXPECT_EQ(*masked_sum, ExactSum(inputs, m));
 }
@@ -118,13 +146,7 @@ TEST(MaskedAggregatorTest, DropoutRecoveryReconstructsSum) {
   // Participants 1 and 3 drop out AFTER masking is configured but before
   // submitting; survivors are 0, 2, 4.
   const std::vector<int> survivors = {0, 2, 4};
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  auto sum = (*agg)->UnmaskSum(masked, survivors, dim, m);
+  auto sum = StreamSum(**agg, inputs, survivors, m);
   ASSERT_TRUE(sum.ok());
 
   std::vector<uint64_t> expected(dim, 0);
@@ -142,13 +164,8 @@ TEST(MaskedAggregatorTest, TooManyDropoutsFail) {
   const uint64_t m = 256;
   const auto inputs = RandomInputs(5, 4, m, 5);
   const std::vector<int> survivors = {0, 1};  // Below threshold 4.
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 4, m).ok());
+  EXPECT_EQ(StreamSum(**agg, inputs, survivors, m).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(MaskedAggregatorTest, MaskInputValidatesArguments) {
@@ -166,23 +183,13 @@ TEST(MaskedAggregatorTest, MaskInputValidatesArguments) {
   EXPECT_TRUE((*agg)->MaskInput(3, input, 256).ok());
 }
 
-TEST(MaskedAggregatorTest, UnmaskSumValidatesArguments) {
+TEST(MaskedAggregatorTest, OpenValidatesArguments) {
   auto agg = MaskedAggregator::Create(BasicOptions(4, 2));
   ASSERT_TRUE(agg.ok());
-  std::vector<std::vector<uint64_t>> masked(3, std::vector<uint64_t>(4, 0));
-  const std::vector<int> survivors = {0, 1, 2};
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 4, 0).ok());
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 4, 1).ok());
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 0, 256).ok());
-  EXPECT_TRUE((*agg)->UnmaskSum(masked, survivors, 4, 256).ok());
-}
-
-TEST(MaskedAggregatorTest, DuplicateSurvivorRejected) {
-  auto agg = MaskedAggregator::Create(BasicOptions(4, 2));
-  ASSERT_TRUE(agg.ok());
-  const uint64_t m = 256;
-  std::vector<std::vector<uint64_t>> masked(2, std::vector<uint64_t>(4, 0));
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, {1, 1}, 4, m).ok());
+  EXPECT_FALSE((*agg)->Open(4, 0).ok());
+  EXPECT_FALSE((*agg)->Open(4, 1).ok());
+  EXPECT_FALSE((*agg)->Open(0, 256).ok());
+  EXPECT_TRUE((*agg)->Open(4, 256).ok());
 }
 
 class MaskedAggregatorParamTest
@@ -197,7 +204,7 @@ TEST_P(MaskedAggregatorParamTest, MatchesIdealAcrossSizesAndModuli) {
   auto agg = MaskedAggregator::Create(o);
   ASSERT_TRUE(agg.ok());
   const auto inputs = RandomInputs(n, 8, m, static_cast<uint64_t>(n) + m);
-  auto sum = (*agg)->Aggregate(inputs, m);
+  auto sum = StreamSum(**agg, inputs, AllIds(inputs.size()), m);
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(*sum, ExactSum(inputs, m));
 }

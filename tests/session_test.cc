@@ -1,7 +1,7 @@
 // End-to-end tests for the frame-driven aggregation session: the
 // client -> ContributionMsg frame -> AggregationSession -> streaming-sum
-// path must be bit-identical to the batch Aggregate/AggregateParallel path
-// for both provided aggregators, at any thread count and arrival order,
+// path must equal a test-local exact sum of the survivors' plain inputs for
+// both provided aggregators, at any thread count and arrival order,
 // with dropouts deferred to Finalize; and corrupt or protocol-violating
 // frames must be rejected with a Status while the session keeps serving.
 #include "secagg/session.h"
@@ -42,6 +42,20 @@ std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
     for (auto& x : v) x = rng.UniformUint64(m);
   }
   return inputs;
+}
+
+/// The reference sum: participants `ids`' plain inputs summed mod m through
+/// 128-bit arithmetic, sharing no code with the session or its stream.
+std::vector<uint64_t> ExactSum128(
+    const std::vector<std::vector<uint64_t>>& inputs,
+    const std::vector<int>& ids, uint64_t m) {
+  std::vector<uint64_t> sum(inputs[0].size(), 0);
+  for (size_t j = 0; j < sum.size(); ++j) {
+    unsigned __int128 acc = 0;
+    for (int id : ids) acc += inputs[static_cast<size_t>(id)][j];
+    sum[j] = static_cast<uint64_t>(acc % m);
+  }
+  return sum;
 }
 
 /// Runs the wire path: prepare each contribution (masking, under the masked
@@ -86,19 +100,18 @@ TEST(AggregationSessionTest, OpenValidates) {
   EXPECT_FALSE(AggregationSession::Open(aggregator, options).ok());
 }
 
-TEST(AggregationSessionTest, IdealMatchesBatchAtEveryThreadCount) {
+TEST(AggregationSessionTest, IdealMatchesExactSumAtEveryThreadCount) {
   const uint64_t m = 18446744073709551557ULL;  // 2^64 - 59: wrap-prone.
   const auto inputs = RandomInputs(33, 29, m, 4);
   IdealAggregator aggregator;
-  auto batch = aggregator.Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
   std::vector<int> order(inputs.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  const auto expected = ExactSum128(inputs, order, m);
   for (int threads : TestThreadCounts()) {
     ThreadPool pool(threads);
     auto sum = RunWireRound(aggregator, inputs, order, m, &pool);
     ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-    EXPECT_EQ(sum->sum, *batch) << threads << " threads";
+    EXPECT_EQ(sum->sum, expected) << threads << " threads";
     EXPECT_EQ(sum->num_contributors, inputs.size());
     EXPECT_EQ(sum->modulus, m);
   }
@@ -182,7 +195,7 @@ TEST(AggregationSessionTest, TiledBadTileDroppedAndItsParticipantsCanRetry) {
   EXPECT_EQ(sum->sum, (std::vector<uint64_t>{3, 6}));
 }
 
-TEST(AggregationSessionTest, MaskedMatchesBatchInShuffledArrivalOrder) {
+TEST(AggregationSessionTest, MaskedMatchesExactSumInShuffledArrivalOrder) {
   const int n = 9;
   MaskedAggregator::Options options;
   options.num_participants = n;
@@ -192,15 +205,14 @@ TEST(AggregationSessionTest, MaskedMatchesBatchInShuffledArrivalOrder) {
   ASSERT_TRUE(aggregator.ok());
   const uint64_t m = 1ULL << 32;
   const auto inputs = RandomInputs(n, 13, m, 5);
-  auto batch = (*aggregator)->Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
   // Contributions arrive in an adversarial order; masking still cancels.
   std::vector<int> order = {7, 2, 8, 0, 5, 1, 6, 3, 4};
+  const auto expected = ExactSum128(inputs, order, m);
   for (int threads : TestThreadCounts()) {
     ThreadPool pool(threads);
     auto sum = RunWireRound(**aggregator, inputs, order, m, &pool);
     ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-    EXPECT_EQ(sum->sum, *batch) << threads << " threads";
+    EXPECT_EQ(sum->sum, expected) << threads << " threads";
   }
 }
 
@@ -214,21 +226,12 @@ TEST(AggregationSessionTest, MaskedDropoutsRecoveredAtFinalize) {
   ASSERT_TRUE(aggregator.ok());
   const uint64_t m = 1 << 16;
   const auto inputs = RandomInputs(n, 11, m, 6);
-  // Participants 2 and 6 never send a frame; the session must recover
-  // their leftover masks exactly as the batch UnmaskSum would.
+  // Participants 2 and 6 never send a frame; the session must remove the
+  // masks they share with survivors, leaving the survivors' plain sum.
   const std::vector<int> survivors = {0, 1, 3, 4, 5, 7};
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*aggregator)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  auto batch = (*aggregator)->UnmaskSum(masked, survivors,
-                                        inputs[0].size(), m);
-  ASSERT_TRUE(batch.ok());
   auto sum = RunWireRound(**aggregator, inputs, survivors, m, nullptr);
   ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-  EXPECT_EQ(sum->sum, *batch);
+  EXPECT_EQ(sum->sum, ExactSum128(inputs, survivors, m));
   EXPECT_EQ(sum->num_contributors, survivors.size());
 }
 

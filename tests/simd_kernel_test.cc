@@ -405,25 +405,16 @@ TEST(SimdKernelTest, ScaleRoundStochasticConsumesRngIdenticallyAcrossPaths) {
   SetDispatchModeForTest(DispatchMode::kAuto);
 }
 
-TEST(SimdKernelTest, VectorModularOpsAreDispatchInvariantThroughPublicApi) {
-  // End-to-end through secagg::AddMod/SubMod/ReduceVector/LiftVector — the
-  // public entry points the aggregation paths call.
+TEST(SimdKernelTest, LiftVectorIsDispatchInvariantThroughPublicApi) {
+  // End-to-end through secagg::LiftVector, the public entry point
+  // RotationCodec::Decode calls to unwrap the aggregated sum.
   for (uint64_t m : kModuli) {
     const size_t n = 100;
-    const auto a = UnsignedValues(m, n, m + 1, /*reduced_only=*/false);
-    const auto b = UnsignedValues(m, n, m + 2, /*reduced_only=*/false);
-    const auto s = SignedValues(m, n, m + 3);
+    const auto reduced = UnsignedValues(m, n, m + 3, /*reduced_only=*/true);
     SetDispatchModeForTest(DispatchMode::kForceScalar);
-    const auto sum_scalar = secagg::AddMod(a, b, m).value();
-    const auto diff_scalar = secagg::SubMod(a, b, m).value();
-    const auto reduced_scalar = secagg::ReduceVector(s, m);
-    const auto lifted_scalar = secagg::LiftVector(reduced_scalar, m);
+    const auto lifted_scalar = secagg::LiftVector(reduced, m);
     SetDispatchModeForTest(DispatchMode::kAuto);
-    EXPECT_EQ(sum_scalar, secagg::AddMod(a, b, m).value()) << "m=" << m;
-    EXPECT_EQ(diff_scalar, secagg::SubMod(a, b, m).value()) << "m=" << m;
-    EXPECT_EQ(reduced_scalar, secagg::ReduceVector(s, m)) << "m=" << m;
-    EXPECT_EQ(lifted_scalar, secagg::LiftVector(reduced_scalar, m))
-        << "m=" << m;
+    EXPECT_EQ(lifted_scalar, secagg::LiftVector(reduced, m)) << "m=" << m;
   }
 }
 

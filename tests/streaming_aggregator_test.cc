@@ -1,9 +1,9 @@
-// Property tests for the streaming aggregation subsystem: Finalize must be
-// bit-identical to the batch Aggregate/AggregateParallel path for both
-// implementations, across thread counts {1, 2, 8} (+ SMM_THREADS), shuffled
-// absorb orders, per-participant vs tiled absorbs, dropout patterns, and
-// moduli spanning the full uint64 range — including 2^64 - 59, where a
-// naive `(acc + v) % m` accumulator silently wraps.
+// Property tests for the streaming aggregation subsystem: Finalize must
+// equal a test-local 128-bit exact sum of the unmasked survivors' inputs
+// for both aggregators, across thread counts {1, 2, 8} (+ SMM_THREADS),
+// shuffled absorb orders, per-participant vs tiled absorbs, dropout
+// patterns, and moduli spanning the full uint64 range — including
+// 2^64 - 59, where a naive `(acc + v) % m` accumulator silently wraps.
 #include "secagg/streaming_aggregator.h"
 
 #include <algorithm>
@@ -56,6 +56,20 @@ std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
   return inputs;
 }
 
+/// The reference every stream is checked against: the element-wise sum of
+/// `inputs` mod m through 128-bit arithmetic. It shares no code with the
+/// stream (no AddModVec, no ShardedModularAccumulate, no mask recovery).
+std::vector<uint64_t> ExactSum128(
+    const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) {
+  std::vector<uint64_t> sum(inputs[0].size(), 0);
+  for (size_t j = 0; j < sum.size(); ++j) {
+    unsigned __int128 acc = 0;
+    for (const auto& v : inputs) acc += v[j];
+    sum[j] = static_cast<uint64_t>(acc % m);
+  }
+  return sum;
+}
+
 /// Deterministic Fisher-Yates shuffle of {0, ..., n-1}.
 std::vector<size_t> ShuffledOrder(size_t n, uint64_t seed) {
   std::vector<size_t> order(n);
@@ -67,14 +81,13 @@ std::vector<size_t> ShuffledOrder(size_t n, uint64_t seed) {
   return order;
 }
 
-TEST(StreamingAggregatorTest, IdealMatchesBatchAcrossThreadsAndOrders) {
+TEST(StreamingAggregatorTest, IdealMatchesExactSumAcrossThreadsAndOrders) {
   const int n = 13;
   const size_t dim = 33;  // Deliberately not a multiple of the chunk count.
   IdealAggregator agg;
   for (uint64_t m : TestModuli()) {
     const auto inputs = RandomInputs(n, dim, m, 21 + m % 97);
-    auto batch = agg.Aggregate(inputs, m);
-    ASSERT_TRUE(batch.ok());
+    const auto expected = ExactSum128(inputs, m);
     for (int threads : ThreadCounts()) {
       ThreadPool pool(threads);
       // Shuffled per-participant absorbs.
@@ -87,19 +100,18 @@ TEST(StreamingAggregatorTest, IdealMatchesBatchAcrossThreadsAndOrders) {
       EXPECT_EQ((*stream)->absorbed(), inputs.size());
       auto streamed = (*stream)->Finalize();
       ASSERT_TRUE(streamed.ok());
-      EXPECT_EQ(*streamed, *batch) << "m=" << m << " threads=" << threads;
+      EXPECT_EQ(*streamed, expected) << "m=" << m << " threads=" << threads;
     }
   }
 }
 
-TEST(StreamingAggregatorTest, IdealTiledAbsorbMatchesBatch) {
+TEST(StreamingAggregatorTest, IdealTiledAbsorbMatchesExactSum) {
   const int n = 29;
   const size_t dim = 65;
   IdealAggregator agg;
   for (uint64_t m : TestModuli()) {
     const auto inputs = RandomInputs(n, dim, m, 4 + m % 89);
-    auto batch = agg.Aggregate(inputs, m);
-    ASSERT_TRUE(batch.ok());
+    const auto expected = ExactSum128(inputs, m);
     for (int threads : ThreadCounts()) {
       ThreadPool pool(threads);
       for (size_t tile : {size_t{1}, size_t{4}, size_t{7}, size_t{29}}) {
@@ -117,7 +129,7 @@ TEST(StreamingAggregatorTest, IdealTiledAbsorbMatchesBatch) {
         }
         auto streamed = (*stream)->Finalize();
         ASSERT_TRUE(streamed.ok());
-        EXPECT_EQ(*streamed, *batch)
+        EXPECT_EQ(*streamed, expected)
             << "m=" << m << " threads=" << threads << " tile=" << tile;
       }
     }
@@ -132,15 +144,14 @@ MaskedAggregator::Options BasicOptions(int n, int threshold) {
   return o;
 }
 
-TEST(StreamingAggregatorTest, MaskedMatchesBatchFullParticipation) {
+TEST(StreamingAggregatorTest, MaskedMatchesExactSumFullParticipation) {
   const int n = 10;
   const size_t dim = 41;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 4));
   ASSERT_TRUE(agg.ok());
   for (uint64_t m : TestModuli()) {
     const auto inputs = RandomInputs(n, dim, m, 7 + m % 83);
-    auto batch = (*agg)->Aggregate(inputs, m);
-    ASSERT_TRUE(batch.ok());
+    const auto expected = ExactSum128(inputs, m);
     for (int threads : ThreadCounts()) {
       ThreadPool pool(threads);
       auto stream = (*agg)->Open(dim, m, &pool);
@@ -153,12 +164,12 @@ TEST(StreamingAggregatorTest, MaskedMatchesBatchFullParticipation) {
       }
       auto streamed = (*stream)->Finalize();
       ASSERT_TRUE(streamed.ok());
-      EXPECT_EQ(*streamed, *batch) << "m=" << m << " threads=" << threads;
+      EXPECT_EQ(*streamed, expected) << "m=" << m << " threads=" << threads;
     }
   }
 }
 
-TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesUnmaskSum) {
+TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesExactSurvivorSum) {
   const int n = 9;
   const size_t dim = 26;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 3));
@@ -178,13 +189,14 @@ TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesUnmaskSum) {
         }
       }
       std::vector<std::vector<uint64_t>> masked;
+      std::vector<std::vector<uint64_t>> survivor_inputs;
       for (int i : survivors) {
         auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
         ASSERT_TRUE(mi.ok());
         masked.push_back(std::move(*mi));
+        survivor_inputs.push_back(inputs[static_cast<size_t>(i)]);
       }
-      auto reference = (*agg)->UnmaskSum(masked, survivors, dim, m);
-      ASSERT_TRUE(reference.ok());
+      const auto expected = ExactSum128(survivor_inputs, m);
       for (int threads : ThreadCounts()) {
         ThreadPool pool(threads);
         auto stream = (*agg)->Open(dim, m, &pool);
@@ -197,7 +209,7 @@ TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesUnmaskSum) {
         }
         auto streamed = (*stream)->Finalize();
         ASSERT_TRUE(streamed.ok());
-        EXPECT_EQ(*streamed, *reference)
+        EXPECT_EQ(*streamed, expected)
             << "m=" << m << " threads=" << threads << " dropped="
             << dropped.size();
       }
@@ -245,8 +257,6 @@ TEST(StreamingAggregatorTest, MaskedRejectedTileLeavesStreamUntouched) {
     ASSERT_TRUE(mi.ok());
     masked.push_back(std::move(*mi));
   }
-  auto batch = (*agg)->Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
 
   auto stream = (*agg)->Open(dim, m);
   ASSERT_TRUE(stream.ok());
@@ -265,7 +275,7 @@ TEST(StreamingAggregatorTest, MaskedRejectedTileLeavesStreamUntouched) {
                   .ok());
   auto sum = (*stream)->Finalize();
   ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, *batch);
+  EXPECT_EQ(*sum, ExactSum128(inputs, m));
 }
 
 TEST(StreamingAggregatorTest, StreamLifecycleErrors) {
@@ -279,8 +289,7 @@ TEST(StreamingAggregatorTest, StreamLifecycleErrors) {
 
   auto stream = agg.Open(dim, m);
   ASSERT_TRUE(stream.ok());
-  // Finalizing with nothing absorbed fails (the batch path rejects empty
-  // input lists the same way).
+  // Finalizing with nothing absorbed fails: there is no sum to release.
   EXPECT_FALSE((*stream)->Finalize().ok());
 
   stream = agg.Open(dim, m);
@@ -298,8 +307,7 @@ TEST(StreamingAggregatorTest, IdealStreamReducesUnreducedEntries) {
   const uint64_t m = 1000;
   auto stream = agg.Open(2, m);
   ASSERT_TRUE(stream.ok());
-  // Entries at and above m are reduced once before accumulation, matching
-  // the batch path's tolerance for unreduced inputs.
+  // Entries at and above m are reduced once before accumulation.
   const std::vector<uint64_t> first = {m + 1, 999};
   const std::vector<uint64_t> second = {2 * m + 5, 2};
   ASSERT_TRUE((*stream)->Absorb(0, first).ok());
@@ -307,35 +315,6 @@ TEST(StreamingAggregatorTest, IdealStreamReducesUnreducedEntries) {
   auto sum = (*stream)->Finalize();
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(*sum, (std::vector<uint64_t>{6, 1}));
-}
-
-/// A minimal aggregator that only implements the batch interface, to cover
-/// the default buffering Open adapter.
-class BatchOnlyAggregator final : public SecureAggregator {
- public:
-  StatusOr<std::vector<uint64_t>> Aggregate(
-      const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) override {
-    IdealAggregator ideal;
-    return ideal.Aggregate(inputs, m);
-  }
-};
-
-TEST(StreamingAggregatorTest, DefaultOpenBuffersAndDelegates) {
-  BatchOnlyAggregator agg;
-  const size_t dim = 16;
-  const uint64_t m = kLargePrime;
-  const auto inputs = RandomInputs(6, dim, m, 44);
-  IdealAggregator reference;
-  auto batch = reference.Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
-  auto stream = agg.Open(dim, m);
-  ASSERT_TRUE(stream.ok());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    ASSERT_TRUE((*stream)->Absorb(static_cast<int>(i), inputs[i]).ok());
-  }
-  auto streamed = (*stream)->Finalize();
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_EQ(*streamed, *batch);
 }
 
 }  // namespace

@@ -172,11 +172,11 @@ TEST(SumPipelineFailureInjection, ZeroShardCountRejected) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
-  // The wire path RunDistributedSum now runs (tile-encode -> mask -> frame
-  // -> session -> stream) must be bit-identical to the former
-  // batch-materializing pipeline (encode everything, AggregateParallel,
-  // decode) at thread counts {1, 2, 8}, for both aggregators.
+TEST(SumPipelineDeterminism, SessionPathMatchesExactSumPathAtEveryThreadCount) {
+  // The wire path RunDistributedSum runs (tile-encode -> mask -> frame ->
+  // session -> stream) must be bit-identical to encoding everything,
+  // summing the encodings exactly in the test, and decoding — at thread
+  // counts {1, 2, 8}, for both aggregators.
   SmmMechanism::Options o;
   o.dim = 128;
   o.gamma = 16.0;
@@ -189,14 +189,21 @@ TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
   // More inputs than one session tile per thread count, so tiling kicks in.
   const auto inputs = data::SampleSphereDataset(100, 128, 1.0, data_rng);
 
-  // The batch path, composed by hand exactly as RunDistributedSum used to.
-  auto run_batch = [&](secagg::SecureAggregator& agg) {
+  // The reference, composed by hand: the same per-participant streams,
+  // every encoding resident, a plain sum mod m, one decode.
+  auto run_reference = [&]() {
     auto mech = SmmMechanism::Create(o).value();
     RandomGenerator rng(42);
     std::vector<RandomGenerator> streams =
         MakeParticipantStreams(rng, inputs.size());
     auto encoded = EncodeBatchParallel(*mech, inputs, streams).value();
-    auto zm_sum = agg.Aggregate(encoded, mech->modulus()).value();
+    const uint64_t m = mech->modulus();
+    std::vector<uint64_t> zm_sum(encoded[0].size(), 0);
+    for (const auto& row : encoded) {
+      for (size_t j = 0; j < row.size(); ++j) {
+        zm_sum[j] = (zm_sum[j] + row[j]) % m;
+      }
+    }
     return mech->DecodeSum(zm_sum, static_cast<int>(inputs.size())).value();
   };
   auto run_session = [&](secagg::SecureAggregator& agg, int threads) {
@@ -206,10 +213,11 @@ TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
     return RunDistributedSum(*mech, agg, inputs, rng, &pool).value();
   };
 
+  const std::vector<double> reference = run_reference();
   secagg::IdealAggregator ideal;
-  const std::vector<double> batch = run_batch(ideal);
   for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(run_session(ideal, threads), batch) << threads << " threads";
+    EXPECT_EQ(run_session(ideal, threads), reference)
+        << threads << " threads";
   }
 
   // Masked protocol: masking + frame transport + deferred recovery must
@@ -220,7 +228,8 @@ TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
   mo.session_seed = 2;
   auto masked = secagg::MaskedAggregator::Create(mo).value();
   for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(run_session(*masked, threads), batch) << threads << " threads";
+    EXPECT_EQ(run_session(*masked, threads), reference)
+        << threads << " threads";
   }
 }
 

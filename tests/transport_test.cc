@@ -200,10 +200,15 @@ TEST(TransportFrameTest, OversizeLengthPrefixRejected) {
 TEST(TransportFrameTest, UnknownVersionAndTypeRejected) {
   auto frame = EncodeFrame(MakeContribution(9, 4, 1 << 16));
   ASSERT_TRUE(frame.ok());
-  {
+  // Version 1 is the plain wire and 2 the sharded one; 0 and 3 are neither.
+  // Re-checksummed, so only the version check can reject the frame.
+  for (const uint8_t version : {uint8_t{0}, uint8_t{3}}) {
     std::vector<uint8_t> wrong_version = *frame;
-    wrong_version[4] = kWireVersion + 1;
-    EXPECT_FALSE(DecodeFrame(wrong_version).ok());
+    wrong_version[4] = version;
+    Rechecksum(wrong_version);
+    EXPECT_EQ(DecodeFrame(wrong_version).status().code(),
+              StatusCode::kInvalidArgument)
+        << "version=" << int{version};
   }
   // Type 4 was a shard worker's partial sum, a wire type since removed.
   // Re-checksummed, so only the type check can reject the frame.
